@@ -57,3 +57,7 @@ class DimensionCapExceeded(NormrecError):
 
 class InsufficientWitnesses(NormrecError):
     pass
+
+
+class InvariantViolated(NormrecError):
+    """An identity that exact algebra guarantees failed to hold."""

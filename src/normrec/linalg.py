@@ -93,6 +93,35 @@ def solve(mat, rhs, zero, one):
     return x
 
 
+def bareiss_solve(mat, rhs):
+    """Fraction-free Gauss-Jordan elimination on a square integer system.
+
+    Returns (det, y) with det = det(mat) and mat * y = det * rhs, y an
+    integer vector; (0, None) when mat is singular. After step k every
+    entry is a (k+1)-minor of [mat | rhs] (Bareiss 1968), so each division
+    by the previous pivot is exact.
+    """
+    n = len(mat)
+    m = [list(row) + [b] for row, b in zip(mat, rhs)]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        p = pivot_row[k]
+        for i, row in enumerate(m):
+            if i != k:
+                c = row[k]
+                for j in range(k + 1, n + 1):
+                    row[j] = (p * row[j] - c * pivot_row[j]) // prev
+        prev = p
+    return sign * prev, [sign * row[n] for row in m]
+
+
 def rank(mat, zero):
     rows = len(mat)
     if rows == 0:

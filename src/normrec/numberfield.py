@@ -1,41 +1,94 @@
 """Exact arithmetic in number fields K = Q[x]/(f).
 
-Elements are dense Fraction coefficient vectors in the power basis; every
-operation reduces modulo the minimal polynomial with no rounding anywhere.
-Conjugate embeddings live in an exactly represented splitting container
-built by iterated root adjunction (Trager-style factorization over the
-current field, with sympy supplying resultants and rational factorization).
+An element is a vector of integer numerators in the power basis over one
+positive integer denominator, in lowest terms, so that every element has
+exactly one representation (Cohen, GTM 138, section 4.2). A product is the
+schoolbook integer product reduced through the field's table of
+x^(d+j) mod f, which holds only integers because f is monic with integer
+coefficients; an inverse is a fraction-free solve on the integer
+multiplication matrix. Nothing is rounded anywhere. Conjugate embeddings
+live in an exactly represented splitting container built by iterated root
+adjunction (Trager-style factorization over the current field, with sympy
+supplying resultants and rational factorization).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd as int_gcd
+from math import gcd, lcm
 
 import sympy as sp
 
 from . import linalg, qpoly
-from .errors import DegreeCapExceeded, DivisionByZero, NonMonic, ReducibleMinPoly
+from .errors import (
+    DegreeCapExceeded,
+    DivisionByZero,
+    InvariantViolated,
+    NonMonic,
+    ReducibleMinPoly,
+)
 
 _X = sp.Symbol("x")
 _Y = sp.Symbol("y")
 
 
-def _rational_factors(int_coeffs):
-    """Irreducible factors over Q of an integer polynomial (monic assumed).
+def _times_x(col, f):
+    """Integer numerators of x * col mod f, for monic integer f."""
+    top = col[-1]
+    col = [0] + col[:-1]
+    if top:
+        col = [c - top * fc for c, fc in zip(col, f)]
+    return col
 
-    Returns a list of qpoly tuples, each monic.
-    """
-    poly = sp.Poly(list(reversed([int(c) for c in int_coeffs])), _X, domain="QQ")
-    _, factors = poly.factor_list()
-    out = []
-    for fac, mult in factors:
-        coeffs = [Fraction(sp.Rational(c)) for c in reversed(fac.all_coeffs())]
-        fac_t = qpoly.monic(qpoly.trim(coeffs))
-        out.extend([fac_t] * mult)
-    return out
+
+def _reduction_table(f):
+    """Rows x^(d+j) mod f for j = 0 .. d-2, each as (index, value) pairs of
+    its nonzero integer entries."""
+    d = len(f) - 1
+    row = [-c for c in f[:-1]]
+    table = []
+    for _ in range(d - 1):
+        table.append(tuple((i, c) for i, c in enumerate(row) if c))
+        row = _times_x(row, f)
+    return tuple(table)
+
+
+def _mul_num(a, b, table):
+    """Integer numerators of a * b mod f, a and b numerator vectors."""
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                prod[k] += x * y
+    low = prod[:d]
+    for hi, row in zip(prod[d:], table):
+        if hi:
+            for i, c in row:
+                low[i] += hi * c
+    return low
+
+
+def _mul_matrix(num, f):
+    """Integer matrix of multiplication by the numerator vector num: column
+    j holds num * x^j mod f."""
+    cols = [list(num)]
+    for _ in range(len(num) - 1):
+        cols.append(_times_x(cols[-1], f))
+    return [list(row) for row in zip(*cols)]
+
+
+def _reduced(field, num, den):
+    """The element num / den in lowest terms with a positive denominator."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    return NumberFieldElement(field, tuple(num), den)
 
 
 class NumberField:
@@ -53,7 +106,10 @@ class NumberField:
             factors = _rational_factors(coeffs)
             if len(factors) > 1:
                 raise ReducibleMinPoly(factors[0])
-        self._min_poly_q = qpoly.from_ints(coeffs)
+        self._reduction = _reduction_table(coeffs)
+        zeros = (0,) * (self.degree - 1)
+        self._zero = NumberFieldElement(self, (0,) + zeros, 1)
+        self._one = NumberFieldElement(self, (1,) + zeros, 1)
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.min_poly == other.min_poly
@@ -67,25 +123,34 @@ class NumberField:
     # element constructors
 
     def element(self, coeffs) -> "NumberFieldElement":
-        c = [Fraction(x) for x in coeffs]
-        if len(c) > self.degree:
-            rep = qpoly.mod(qpoly.trim(c), self._min_poly_q)
-            c = list(rep)
-        c += [Fraction(0)] * (self.degree - len(c))
-        return NumberFieldElement(self, tuple(c))
+        vals = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(v.denominator for v in vals))
+        num = [v.numerator * (den // v.denominator) for v in vals]
+        d, f = self.degree, self.min_poly
+        for i in range(len(num) - 1, d - 1, -1):
+            c = num.pop()
+            if c:
+                for k in range(d):
+                    num[i - d + k] -= c * f[k]
+        num += [0] * (d - len(num))
+        return _reduced(self, num, den)
 
     def from_rational(self, q) -> "NumberFieldElement":
-        return self.element([Fraction(q)])
+        if not isinstance(q, (int, Fraction)):
+            q = Fraction(q)
+        return NumberFieldElement(
+            self, (q.numerator,) + self._zero.num[1:], q.denominator
+        )
 
     def zero(self) -> "NumberFieldElement":
-        return self.from_rational(0)
+        return self._zero
 
     def one(self) -> "NumberFieldElement":
-        return self.from_rational(1)
+        return self._one
 
     def gen(self) -> "NumberFieldElement":
         if self.degree == 1:
-            return self.from_rational(Fraction(-self.min_poly[0]))
+            return self.from_rational(-self.min_poly[0])
         return self.element([0, 1])
 
     def integral_basis(self):
@@ -101,69 +166,113 @@ class NumberField:
         return [self.element([0] * i + [1]) for i in range(self.degree)]
 
 
-@dataclass(frozen=True)
 class NumberFieldElement:
-    field: NumberField
-    coeffs: tuple
+    """(num[0] + num[1] x + ... + num[d-1] x^(d-1)) / den in K.
 
-    def _coerce(self, other):
-        if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
-                raise ValueError("elements of different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return NotImplemented
+    Immutable and canonical: den >= 1 and gcd(den, *num) == 1. Build
+    elements through the field (``element``, ``from_rational``); the
+    constructor trusts its arguments.
+    """
+
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple, den: int):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """Power-basis coordinates as Fractions, derived from num / den."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
+
+    def _check_field(self, other):
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("elements of different fields")
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return NumberFieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        num, den = self.num, self.den
+        if isinstance(other, NumberFieldElement):
+            self._check_field(other)
+            oden = other.den
+            if oden == den:
+                return _reduced(self.field, [a + b for a, b in zip(num, other.num)], den)
+            return _reduced(
+                self.field,
+                [a * oden + b * den for a, b in zip(num, other.num)],
+                den * oden,
+            )
+        if isinstance(other, int):
+            # adding a multiple of den keeps the numerators coprime to den
+            return NumberFieldElement(
+                self.field, (num[0] + other * den,) + num[1:], den
+            )
+        if isinstance(other, Fraction):
+            p, q = other.numerator, other.denominator
+            return _reduced(
+                self.field, [num[0] * q + p * den] + [n * q for n in num[1:]], den * q
+            )
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.field, tuple(-a for a in self.coeffs))
+        return NumberFieldElement(self.field, tuple(-n for n in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
+        if isinstance(other, (NumberFieldElement, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        prod = qpoly.mul(qpoly.trim(self.coeffs), qpoly.trim(o.coeffs))
-        rep = qpoly.mod(prod, self.field._min_poly_q)
-        c = list(rep) + [Fraction(0)] * (self.field.degree - len(rep))
-        return NumberFieldElement(self.field, tuple(c))
+        if isinstance(other, NumberFieldElement):
+            self._check_field(other)
+            num = _mul_num(self.num, other.num, self.field._reduction)
+            return _reduced(self.field, num, self.den * other.den)
+        if isinstance(other, int):
+            return _reduced(self.field, [n * other for n in self.num], self.den)
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _reduced(
+                self.field, [n * p for n in self.num], self.den * other.denominator
+            )
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self):
-        rep = qpoly.trim(self.coeffs)
-        if not rep:
+        if self.is_zero():
             raise DivisionByZero("division by zero in number field")
-        inv = qpoly.xgcd_mod(rep, self.field._min_poly_q)
-        c = list(inv) + [Fraction(0)] * (self.field.degree - len(inv))
-        return NumberFieldElement(self.field, tuple(c))
+        d = self.field.degree
+        # (A / den)^-1 = den * A^-1, and A^-1 is the solution y / det of
+        # M_A y = det * e_0 on the integer multiplication matrix M_A
+        det, y = linalg.bareiss_solve(
+            _mul_matrix(self.num, self.field.min_poly), [1] + [0] * (d - 1)
+        )
+        if not det:
+            raise DivisionByZero("element is not invertible")
+        return _reduced(self.field, [self.den * v for v in y], det)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        if isinstance(other, NumberFieldElement):
+            return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise DivisionByZero("division by zero in number field")
+            q = other.denominator
+            return _reduced(
+                self.field, [n * q for n in self.num], self.den * other.numerator
+            )
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        return self.field.from_rational(other) / self
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n):
         n = int(n)
@@ -173,30 +282,39 @@ class NumberFieldElement:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
+        if isinstance(other, NumberFieldElement):
+            return (
+                self.num == other.num
+                and self.den == other.den
+                and (self.field is other.field or self.field == other.field)
+            )
         if isinstance(other, (int, Fraction)):
-            other = self.field.from_rational(other)
-        if not isinstance(other, NumberFieldElement):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+            return (
+                self.den == other.denominator
+                and self.num[0] == other.numerator
+                and not any(self.num[1:])
+            )
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coeffs))
+        return hash((self.field.min_poly, self.num, self.den))
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"element is not rational: {self}")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"NFElt{list(map(str, self.coeffs))}"
@@ -214,26 +332,22 @@ def field_create(min_poly) -> NumberField:
 
 def multiplication_matrix(a: NumberFieldElement):
     """Matrix of x -> a*x on the power basis, columns indexed by basis."""
-    d = a.field.degree
-    cols = []
-    basis_elt = a.field.one()
-    gen = a.field.gen()
-    for _ in range(d):
-        cols.append((a * basis_elt).coeffs)
-        basis_elt = basis_elt * gen
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    den = a.den
+    return [
+        [Fraction(v, den) for v in row] for row in _mul_matrix(a.num, a.field.min_poly)
+    ]
 
 
 def norm(a: NumberFieldElement) -> Fraction:
     """Field norm N_{K/Q}(a), the determinant of multiplication by a."""
-    if a.field.degree == 1:
-        return a.coeffs[0]
-    return linalg.det(multiplication_matrix(a), Fraction(0))
+    d = a.field.degree
+    det, _ = linalg.bareiss_solve(_mul_matrix(a.num, a.field.min_poly), [0] * d)
+    return Fraction(det, a.den**d)
 
 
 def trace(a: NumberFieldElement) -> Fraction:
-    m = multiplication_matrix(a)
-    return sum(m[i][i] for i in range(len(m)))
+    m = _mul_matrix(a.num, a.field.min_poly)
+    return Fraction(sum(m[i][i] for i in range(len(m))), a.den)
 
 
 def char_poly(a: NumberFieldElement):
@@ -455,7 +569,7 @@ def factor_over_field(p, field: NumberField):
     if field.degree == 1:
         rat = [c.as_rational() for c in p]
         return [
-            _lift_rational_poly(f, field) for f in _rational_factors_fraction(rat)
+            _lift_rational_poly(f, field) for f in _rational_factors(rat)
         ]
     if len(p) == 2:
         return [p]
@@ -463,7 +577,7 @@ def factor_over_field(p, field: NumberField):
         npoly = _norm_poly(p, field, shift)
         if not qpoly.is_squarefree(npoly):
             continue
-        rational_factors = _rational_factors_fraction(npoly)
+        rational_factors = _rational_factors(npoly)
         if len(rational_factors) == 1:
             return [p]
         shifted = _poly_compose_gen_shift(p, shift, field)
@@ -473,7 +587,10 @@ def factor_over_field(p, field: NumberField):
             g = _poly_gcd(shifted, lifted, field)
             if len(g) >= 2:
                 out.append(_poly_compose_gen_shift(g, -shift, field))
-        assert sum(len(f) - 1 for f in out) == len(p) - 1
+        if sum(len(f) - 1 for f in out) != len(p) - 1:
+            raise InvariantViolated(
+                "factor degrees do not add up to the degree of the polynomial"
+            )
         return out
     raise RuntimeError("no squarefree shift found (should not happen)")
 
@@ -487,12 +604,14 @@ def _shift_candidates():
         k += 1
 
 
-def _rational_factors_fraction(coeffs):
-    """Irreducible monic factors over Q of a rational polynomial."""
+def _rational_factors(coeffs):
+    """Irreducible monic factors over Q of a polynomial with integer or
+    rational coefficients, lowest degree first.
+
+    Returns a list of qpoly tuples, each factor repeated by its multiplicity.
+    """
     fracs = [Fraction(c) for c in coeffs]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in fracs))
     ints = [int(c * den) for c in fracs]
     poly = sp.Poly(list(reversed(ints)), _X, domain="QQ")
     _, factors = poly.factor_list()
@@ -509,9 +628,7 @@ def _scale_to_integer_monic(min_poly):
     """Given a monic rational min poly of gamma, return (lam, integer min
     poly of lam*gamma)."""
     d = qpoly.degree(min_poly)
-    lam = 1
-    for c in min_poly[:-1]:
-        lam = lam * c.denominator // int_gcd(lam, c.denominator)
+    lam = lcm(*(c.denominator for c in min_poly[:-1]))
     while True:
         scaled = tuple(
             min_poly[i] * Fraction(lam) ** (d - i) for i in range(d)
@@ -561,21 +678,22 @@ def extend_by_irreducible(field: NumberField, q, max_degree=None):
         gamma_pow = new_field.one()
         for i, c in enumerate(shifted):
             # c is an element of `field`: its coeffs give a poly in y
-            cy = [new_field.from_rational(v) * gamma_pow for v in c.coeffs]
+            cy = [gamma_pow * v for v in c.coeffs]
             acc = _poly_add_new(acc, cy, new_field)
             gamma_pow = gamma_pow * gamma
         h = _poly_gcd(g_lifted, _poly_trim(acc), new_field)
-        assert len(h) == 2, "generator image gcd must be linear"
+        if len(h) != 2:
+            raise InvariantViolated("generator image gcd must be linear")
         alpha_img = -h[0]
 
-        def embed(a, _imgs=None, _alpha=alpha_img, _nf=new_field):
+        def embed(a, _alpha=alpha_img, _nf=new_field):
             acc_e = _nf.zero()
             pw = _nf.one()
-            for co in a.coeffs:
-                if co != 0:
-                    acc_e = acc_e + _nf.from_rational(co) * pw
+            for n in a.num:
+                if n:
+                    acc_e = acc_e + pw * n
                 pw = pw * _alpha
-            return acc_e
+            return acc_e / a.den
 
         root = gamma - alpha_img * Fraction(shift)
         return new_field, embed, root
@@ -605,38 +723,45 @@ class SplittingContainer:
         self.base = base
         self.ambient = ambient
         self.roots = list(roots)
-        assert len(self.roots) == base.degree
+        if len(self.roots) != base.degree:
+            raise InvariantViolated("a splitting container needs one root per embedding")
+        self._powers = [_power_columns(r, base.degree) for r in self.roots]
 
     def embed(self, a: NumberFieldElement, i: int) -> NumberFieldElement:
         """sigma_i(a) as an element of the ambient field."""
-        if a.field != self.base:
+        if a.field is not self.base and a.field != self.base:
             raise ValueError("element not in the base field")
-        acc = self.ambient.zero()
-        pw = self.ambient.one()
-        root = self.roots[i]
-        for c in a.coeffs:
-            if c != 0:
-                acc = acc + self.ambient.from_rational(c) * pw
-            pw = pw * root
-        return acc
+        den, cols = self._powers[i]
+        acc = [0] * self.ambient.degree
+        for n, col in zip(a.num, cols):
+            if n:
+                for t, c in enumerate(col):
+                    acc[t] += n * c
+        return _reduced(self.ambient, acc, a.den * den)
 
     def conjugates(self, a: NumberFieldElement):
         return [self.embed(a, i) for i in range(self.base.degree)]
 
     def preimage(self, b: NumberFieldElement, i: int) -> NumberFieldElement:
         """The a in the base field with sigma_i(a) = b; raises if none."""
-        d = self.base.degree
-        big_d = self.ambient.degree
-        cols = []
-        pw = self.ambient.one()
-        for j in range(d):
-            cols.append(pw.coeffs)
-            pw = pw * self.roots[i]
-        mat = [[cols[j][t] for j in range(d)] for t in range(big_d)]
-        sol = linalg.solve(mat, list(b.coeffs), Fraction(0), Fraction(1))
+        den, cols = self._powers[i]
+        # sum_j a_j root^j = b  <=>  sum_j a_j cols[j] = den * b
+        mat = [list(row) for row in zip(*cols)]
+        rhs = [Fraction(den * n, b.den) for n in b.num]
+        sol = linalg.solve(mat, rhs, Fraction(0), Fraction(1))
         if sol is None:
             raise ValueError("element has no preimage under this embedding")
         return self.base.element(sol)
+
+
+def _power_columns(root: NumberFieldElement, d: int):
+    """(den, cols) with cols[j] the integer numerators of den * root^j for
+    j < d, den the least common denominator of those powers."""
+    pows = [root.field.one()]
+    for _ in range(d - 1):
+        pows.append(pows[-1] * root)
+    den = lcm(*(p.den for p in pows))
+    return den, [[n * (den // p.den) for n in p.num] for p in pows]
 
 
 def splitting_container(field: NumberField, max_degree: int = 24) -> SplittingContainer:
@@ -652,7 +777,8 @@ def splitting_container(field: NumberField, max_degree: int = 24) -> SplittingCo
             remaining, rem = _poly_divmod(
                 remaining, [-r, ambient.one()], ambient
             )
-            assert not rem, "known root fails exact division"
+            if rem:
+                raise InvariantViolated("known root fails exact division")
         if len(remaining) <= 1:
             break
         factors = factor_over_field(remaining, ambient)

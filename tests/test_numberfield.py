@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from normrec.errors import DivisionByZero, NonMonic, ReducibleMinPoly
+from normrec import numberfield
+from normrec.errors import (
+    DivisionByZero,
+    InvariantViolated,
+    NonMonic,
+    ReducibleMinPoly,
+)
 from normrec.numberfield import (
     char_poly,
     conjugates,
@@ -166,6 +172,15 @@ def test_factor_over_field_irreducible_stays(K2):
     p = [K2.from_rational(-3), K2.zero(), K2.one()]
     factors = factor_over_field(p, K2)
     assert len(factors) == 1
+
+
+def test_factor_over_field_lost_factor_raises(K2, monkeypatch):
+    # (x - 1)(x - 2)(x^2 - 2): the shifted norm has four rational factors
+    p = [K2.from_rational(c) for c in (-4, 6, 0, -3, 1)]
+    factor = numberfield._rational_factors
+    monkeypatch.setattr(numberfield, "_rational_factors", lambda c: factor(c)[1:])
+    with pytest.raises(InvariantViolated):
+        factor_over_field(p, K2)
 
 
 def test_splitting_container_quadratic(K2):
