@@ -53,10 +53,7 @@ from .multirec import (
     ShiftedSublattice,
     ZeroStructure,
     is_zero_on_progression,
-    mr_eval,
     mr_reduce,
-    mr_restrict_progression,
-    mr_restrict_sublattice,
     sml_zero_structure,
 )
 from .normform import (

@@ -91,9 +91,13 @@ def _parse_recurrence(field, doc, path="recurrence"):
         raw_terms = raw["terms"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ProblemFileError(path, "needs integer 'vars' and a 'terms' list") from exc
+    if not isinstance(raw_terms, list):
+        raise ProblemFileError(f"{path}.terms", "expected a list")
     terms = []
     for i, t in enumerate(raw_terms):
         tpath = f"{path}.terms[{i}]"
+        if not isinstance(t, dict):
+            raise ProblemFileError(tpath, "expected an object")
         if "base" not in t:
             raise ProblemFileError(tpath, "missing base")
         base = tuple(
@@ -148,6 +152,8 @@ def _parse_problem(doc):
         except NormrecError as exc:
             raise ProblemFileError("auto_units_quadratic", str(exc)) from exc
     search = doc.get("search", {})
+    if not isinstance(search, dict):
+        raise ProblemFileError("search", "expected an object")
     try:
         problem = NormFormProblem(
             field,
@@ -166,7 +172,12 @@ def _parse_config(doc):
     cfg = IntersectConfig()
     for key in ("k_box", "h_box", "coeff_bound", "structure_threshold"):
         if key in search:
-            setattr(cfg, key, int(search[key]))
+            value = search[key]
+            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                raise ProblemFileError(
+                    f"search.{key}", f"expected a nonnegative integer, got {value!r}"
+                )
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -240,6 +251,14 @@ def cmd_intersect(args):
     recurrence = _parse_recurrence(problem.field, doc)
     cfg = _parse_config(doc)
     component = doc.get("component", 1)
+    if (
+        not isinstance(component, int)
+        or isinstance(component, bool)
+        or not 1 <= component <= problem.n
+    ):
+        raise ProblemFileError(
+            "component", f"must be an integer in 1..{problem.n}, got {component!r}"
+        )
     if recurrence.vars == 1:
         result = detect_reduced_exception(problem, component, recurrence, cfg)
     else:

@@ -20,6 +20,7 @@ from math import gcd, lcm
 from . import linalg
 from .errors import (
     InsufficientWitnesses,
+    InvariantViolated,
     NonIntegerBase,
     NonSimpleUnsupported,
 )
@@ -165,7 +166,8 @@ def find_coincidences(
             vec = _solution_vector(problem, element)
             if vec is None or norm(element) != problem.m:
                 continue
-            assert vec[component - 1] == int(q)
+            if vec[component - 1] != int(q):
+                raise InvariantViolated("H value differs from its solution coordinate")
             key = int(q)
             if key not in value_table:
                 value_table[key] = (h, idx, vec)
@@ -216,61 +218,37 @@ def fit_linear_dependencies(witness_ks, coeff_bound: int) -> LinearDependencyRep
         [Fraction(k[i] - base[i]) for i in varying] for k in witness_ks[1:]
     ]
     kernel = linalg.nullspace_rational(diff_rows) if varying else []
-    # echelonize the kernel with pivots on the highest indices so each
-    # relation expresses one later component through earlier ones
-    relations = []
-    used_pivots = set()
+    # a kernel vector read off the reduced echelon form is 1 at its own free
+    # column, its last nonzero entry, and 0 at every other free column; times
+    # its common denominator it is a primitive integer vector, and its free
+    # column is the one component the relation expresses through the others
     kernel_int = []
     for vec in kernel:
-        den = 1
-        for c in vec:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ivec = [int(c * den) for c in vec]
-        g = 0
-        for c in ivec:
-            g = gcd(g, c)
-        kernel_int.append([c // g for c in ivec])
-    # eliminate so pivot columns (rightmost nonzero) are distinct
-    reduced_rows = []
-    for vec in kernel_int:
-        v = list(Fraction(c) for c in vec)
-        for rvec, rpiv in reduced_rows:
-            if v[rpiv] != 0:
-                f = v[rpiv] / rvec[rpiv]
-                v = [a - f * b for a, b in zip(v, rvec)]
-        piv = max((i for i in range(len(v)) if v[i] != 0), default=None)
-        if piv is None:
-            continue
-        reduced_rows.append((v, piv))
-        used_pivots.add(piv)
-    free_local = [
-        i for i in range(len(varying)) if i not in used_pivots
-    ]
-    for v, piv in reduced_rows:
-        # relation sum_i v[i] * (k[varying[i]] - base[varying[i]]) = 0
-        den = 1
-        for c in v:
-            den = den * c.denominator // gcd(den, c.denominator)
-        iv = [int(c * den) for c in v]
-        d_u = abs(iv[piv])
-        sign = -1 if iv[piv] > 0 else 1
-        # k_piv = (a0 + sum coeff_v * k_v) / d_u
+        den = lcm(*(c.denominator for c in vec))
+        iv = [int(c * den) for c in vec]
+        kernel_int.append((iv, max(i for i, c in enumerate(iv) if c)))
+    used_pivots = {piv for _, piv in kernel_int}
+    free_local = [i for i in range(len(varying)) if i not in used_pivots]
+    relations = []
+    for iv, piv in kernel_int:
+        # relation sum_i iv[i] * (k[varying[i]] - base[varying[i]]) = 0 with
+        # iv[piv] = den > 0, so k_piv = (a0 + sum coeff_v * k_v) / iv[piv]
         coeffs = {}
-        a0 = 0
+        a0 = iv[piv] * base[varying[piv]]
         for i in free_local:
             if iv[i]:
-                coeffs[varying[i]] = sign * iv[i]
-                a0 -= sign * iv[i] * base[varying[i]]
-        a0 += d_u * base[varying[piv]]
+                coeffs[varying[i]] = -iv[i]
+                a0 += iv[i] * base[varying[i]]
         rel = LinearRelation(
             dependent_index=varying[piv],
-            denominator=d_u,
+            denominator=iv[piv],
             a0=a0,
             coefficients=coeffs,
         )
         for k in witness_ks:
             lhs = rel.a0 + sum(c * k[v] for v, c in rel.coefficients.items())
-            assert lhs == rel.denominator * k[rel.dependent_index]
+            if lhs != rel.denominator * k[rel.dependent_index]:
+                raise InvariantViolated("a fitted relation fails on a witness")
         relations.append(rel)
     free = [varying[i] for i in free_local]
     # no further bounded relation among the free indices over the witnesses

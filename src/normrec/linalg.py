@@ -1,61 +1,73 @@
-"""Generic exact linear algebra via Gaussian elimination.
+"""Exact linear algebra: one Gauss-Jordan echelon routine over any field,
+plus fraction-free integer kernels.
 
-Works over any field whose elements support +, -, *, / and == comparison
-(Fraction or NumberFieldElement). All routines are allocation-happy but
-exact; sizes stay small at desk scale.
+The field routines work over any field whose elements support +, -, *, /
+and == 0 (Fraction or NumberFieldElement). ``det``, ``inverse``, ``solve``,
+``rank`` and ``nullspace_rational`` all read the reduced row echelon form
+computed by ``_echelon`` (Cohen, GTM 138, section 2.2). ``bareiss_solve``
+is the fraction-free integer solve behind field inverses and norms, and
+``charpoly`` runs Faddeev-LeVerrier on integers. Sizes stay small at desk
+scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
-def _clone(mat):
-    return [list(row) for row in mat]
+def _echelon(m, one):
+    """Reduce the rows of m in place to reduced row echelon form; ``one``
+    is the field's unit, which inverts the pivots (so that an integer
+    matrix is reduced over Q).
+
+    Returns (pivots, det): the pivot column of each nonzero row, and the
+    product of the pivots signed by the row swaps, which is the
+    determinant when m is square and nonsingular.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    det = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        p = m[r][c]
+        det = det * p
+        # the pivot row is zero left of c, and so is every row below it
+        inv_p = one / p
+        prow = m[r] = m[r][:c] + [x * inv_p for x in m[r][c:]]
+        for i in range(rows):
+            f = m[i][c]
+            if i != r and f != 0:
+                row = m[i]
+                row[c:] = [a - f * b for a, b in zip(row[c:], prow[c:])]
+        pivots.append(c)
+    return pivots, det
 
 
 def det(mat, zero):
-    """Determinant by fraction-free-ish elimination with exact division."""
+    """Determinant of a square matrix."""
     n = len(mat)
     if n == 0:
         raise ValueError("empty matrix")
-    m = _clone(mat)
-    sign = 1
-    result = None
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != zero), None)
-        if piv is None:
-            return zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            if m[r][col] != zero:
-                f = m[r][col] / m[col][col]
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    result = m[0][0]
-    for i in range(1, n):
-        result = result * m[i][i]
-    if sign < 0:
-        result = -result
-    return result
+    pivots, d = _echelon([list(row) for row in mat], zero + 1)
+    return d if len(pivots) == n else zero
 
 
 def inverse(mat, zero, one):
     n = len(mat)
     m = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != zero), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv_piv = one / m[col][col]
-        m[col] = [x * inv_piv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != zero:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    pivots, _ = _echelon(m, one)
+    if pivots != list(range(n)):
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in m]
 
 
@@ -67,26 +79,9 @@ def solve(mat, rhs, zero, one):
     """
     rows, cols = len(mat), len(mat[0]) if mat else 0
     m = [list(mat[i]) + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv_piv = one / m[r][c]
-        m[r] = [x * inv_piv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != zero:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != zero:
-            return None
+    pivots, _ = _echelon(m, one)
+    if pivots and pivots[-1] == cols:  # a pivot in the rhs column
+        return None
     x = [zero] * cols
     for i, c in enumerate(pivots):
         x[c] = m[i][cols]
@@ -123,55 +118,22 @@ def bareiss_solve(mat, rhs):
 
 
 def rank(mat, zero):
-    rows = len(mat)
-    if rows == 0:
-        return 0
-    cols = len(mat[0])
-    m = _clone(mat)
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != zero), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, rows):
-            if m[i][c] != zero:
-                f = m[i][c] / m[r][c]
-                for j in range(c, cols):
-                    m[i][j] = m[i][j] - f * m[r][j]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return len(_echelon([list(row) for row in mat], zero + 1)[0])
 
 
 def nullspace_rational(mat):
     """Basis of the rational nullspace of an integer/rational matrix.
 
-    Returns a list of Fraction vectors. Dedicated to Fraction entries.
+    Returns a list of Fraction vectors, one per free column fc: 1 at fc,
+    0 at every other free column, minus the reduced column fc at the pivots.
     """
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
     m = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    cols = len(m[0]) if m else 0
+    pivots, _ = _echelon(m, Fraction(1))
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -181,21 +143,24 @@ def nullspace_rational(mat):
 
 
 def charpoly(mat):
-    """Characteristic polynomial of a square Fraction matrix.
+    """Characteristic polynomial of a square rational matrix, monic, as
+    Fractions lowest degree first.
 
-    Faddeev-LeVerrier; returns coefficients lowest degree first, monic.
+    With mat = B / D for an integer matrix B, runs Faddeev-LeVerrier on B
+    in integers (every M_k is an integer polynomial in B, and k divides the
+    trace exactly), then divides the coefficient of x^(n-k) by D^k.
     """
     n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    ident = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # c_n = 1 (leading)
-    m_k = [row[:] for row in ident]
+    rat = [[Fraction(x) for x in row] for row in mat]
+    den = lcm(*(x.denominator for row in rat for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in rat]
+    coeffs = [1]  # c_n = 1 (leading), then c_(n-1), ..., c_0 of B
+    m_k = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = [
-            [sum(a[i][t] * m_k[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(am[i][i] for i in range(n)) / k
+        bm = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m_k)] for row in b]
+        c = -sum(bm[i][i] for i in range(n)) // k
         coeffs.append(c)
-        m_k = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return tuple(reversed(coeffs))
+        for i in range(n):
+            bm[i][i] += c
+        m_k = bm
+    return tuple(Fraction(c, den**k) for k, c in reversed(list(enumerate(coeffs))))

@@ -290,18 +290,6 @@ class MultiRecurrence:
         return self.restrict_sublattice(ShiftedSublattice(a_mat, prog.offsets))
 
 
-def mr_eval(recurrence: MultiRecurrence, k):
-    return recurrence.evaluate(k)
-
-
-def mr_restrict_sublattice(recurrence, lattice):
-    return recurrence.restrict_sublattice(lattice)
-
-
-def mr_restrict_progression(recurrence, prog):
-    return recurrence.restrict_progression(prog)
-
-
 @dataclass
 class ZeroCertificate:
     holds: bool

@@ -10,7 +10,7 @@ from itertools import combinations, product
 from math import isqrt
 
 from . import linalg, qpoly
-from .errors import DegreeCapExceeded, NoNonsingularSelection
+from .errors import DegreeCapExceeded, InvariantViolated, NoNonsingularSelection
 from .multirec import MPoly, MultiRecurrence
 from .numberfield import (
     NumberField,
@@ -74,7 +74,8 @@ class NormFormProblem:
             out = {}
             for exps, c in prod_poly.monomials.items():
                 q = c.as_rational()
-                assert q.denominator == 1, "norm form coefficient not integral"
+                if q.denominator != 1:
+                    raise InvariantViolated("norm form coefficient not integral")
                 out[exps] = int(q)
             self._norm_poly = out
         return self._norm_poly
@@ -279,7 +280,8 @@ def build_component_recurrences(
         for t in torsion_reps:
             scaled_mu = mu * t_elts[1] ** t if t else mu
             n_scaled = norm(scaled_mu)
-            assert abs(n_scaled) == abs(problem.m)
+            if abs(n_scaled) != abs(problem.m):
+                raise InvariantViolated("a scaled representative lost its norm")
             parity = 0 if n_scaled == problem.m else 1
             if parity == 1 and not any(parity_mask):
                 continue  # no h can repair the sign; class contributes nothing
@@ -356,5 +358,6 @@ def lift(problem: NormFormProblem, extension_specs) -> LiftResult:
     )
     # tower formula sanity on a few base-field elements
     for probe in (problem.field.gen(), problem.field.one() + problem.field.gen()):
-        assert norm(embed(probe)) == norm(probe) ** rel
+        if norm(embed(probe)) != norm(probe) ** rel:
+            raise InvariantViolated("the lift breaks the norm tower formula")
     return LiftResult(lifted, rel, embed)

@@ -363,8 +363,10 @@ def min_poly_of(a: NumberFieldElement):
 
 
 def is_algebraic_integer(a: NumberFieldElement) -> bool:
-    mp = min_poly_of(a)
-    return all(c.denominator == 1 for c in mp)
+    """Whether the min poly of a has integer coefficients. The char poly is
+    a power of the min poly, so by Gauss's lemma it is integral exactly
+    when the min poly is."""
+    return all(c.denominator == 1 for c in char_poly(a))
 
 
 @lru_cache(maxsize=None)
@@ -447,87 +449,6 @@ def _lift_rational_poly(coeffs, field: NumberField):
     return [field.from_rational(c) for c in coeffs]
 
 
-def _poly_trim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _poly_monic(p, field):
-    lead = p[-1]
-    inv = lead.inverse()
-    return [c * inv for c in p]
-
-
-def _poly_mul(p, q, field):
-    if not p or not q:
-        return []
-    out = [field.zero()] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _poly_trim(out)
-
-
-def _poly_mod(p, q, field):
-    rem = list(p)
-    dq = len(q) - 1
-    inv_lead = q[-1].inverse()
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] * inv_lead
-        if c.is_zero():
-            continue
-        for j in range(dq + 1):
-            rem[i - dq + j] = rem[i - dq + j] - c * q[j]
-    return _poly_trim(rem)
-
-
-def _poly_divmod(p, q, field):
-    rem = list(p)
-    dq = len(q) - 1
-    inv_lead = q[-1].inverse()
-    quo = [field.zero()] * max(len(rem) - dq, 0)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] * inv_lead
-        if c.is_zero():
-            continue
-        quo[i - dq] = c
-        for j in range(dq + 1):
-            rem[i - dq + j] = rem[i - dq + j] - c * q[j]
-    return _poly_trim(quo), _poly_trim(rem)
-
-
-def _poly_gcd(p, q, field):
-    p, q = _poly_trim(p), _poly_trim(q)
-    while q:
-        p, q = q, _poly_mod(p, q, field)
-    return _poly_monic(p, field)
-
-
-def _poly_compose_shift(p, shift: NumberFieldElement, field):
-    """p(x + shift) for p with field coefficients (Horner in x + shift)."""
-    lin = [shift, field.one()]
-    acc = []
-    for c in reversed(p):
-        acc = _poly_mul(acc, lin, field)
-        if not acc:
-            acc = [c]
-        else:
-            acc[0] = acc[0] + c
-        acc = _poly_trim(acc)
-    return acc
-
-
-def _poly_eval(p, x: NumberFieldElement, field):
-    acc = field.zero()
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _to_bivariate(p, field):
     """Sympy expression Sum c_ij y^j x^i for p with field coefficients."""
     expr = sp.Integer(0)
@@ -544,7 +465,7 @@ def _field_gen_poly_sympy(field: NumberField):
 
 def _norm_poly(p, field: NumberField, shift: int):
     """Res_y(g(y), p(x - shift*y)) as a qpoly tuple over Q."""
-    shifted = _poly_compose_gen_shift(p, shift, field)
+    shifted = _gen_shifted(p, shift, field)
     bivar = _to_bivariate(shifted, field)
     g = _field_gen_poly_sympy(field)
     res = sp.resultant(g, bivar, _Y)
@@ -553,11 +474,11 @@ def _norm_poly(p, field: NumberField, shift: int):
     return qpoly.trim(coeffs)
 
 
-def _poly_compose_gen_shift(p, shift: int, field):
+def _gen_shifted(p, shift: int, field):
     """p(x - shift*alpha) where alpha is the field generator."""
     if shift == 0:
-        return list(p)
-    return _poly_compose_shift(p, field.gen() * Fraction(-shift), field)
+        return tuple(p)
+    return qpoly.compose(p, (field.gen() * -shift, field.one()))
 
 
 def factor_over_field(p, field: NumberField):
@@ -565,7 +486,7 @@ def factor_over_field(p, field: NumberField):
 
     p is a list of NumberFieldElements, lowest degree first, degree >= 1.
     """
-    p = _poly_monic(_poly_trim(p), field)
+    p = qpoly.monic(qpoly.trim(p))
     if field.degree == 1:
         rat = [c.as_rational() for c in p]
         return [
@@ -580,13 +501,13 @@ def factor_over_field(p, field: NumberField):
         rational_factors = _rational_factors(npoly)
         if len(rational_factors) == 1:
             return [p]
-        shifted = _poly_compose_gen_shift(p, shift, field)
+        shifted = _gen_shifted(p, shift, field)
         out = []
         for fac in rational_factors:
             lifted = _lift_rational_poly(fac, field)
-            g = _poly_gcd(shifted, lifted, field)
+            g = qpoly.gcd(shifted, lifted)
             if len(g) >= 2:
-                out.append(_poly_compose_gen_shift(g, -shift, field))
+                out.append(_gen_shifted(g, -shift, field))
         if sum(len(f) - 1 for f in out) != len(p) - 1:
             raise InvariantViolated(
                 "factor degrees do not add up to the degree of the polynomial"
@@ -672,16 +593,16 @@ def extend_by_irreducible(field: NumberField, q, max_degree=None):
         g_lifted = _lift_rational_poly(
             [Fraction(c) for c in field.min_poly], new_field
         )
-        shifted = _poly_compose_gen_shift(q, shift, field)
+        shifted = _gen_shifted(q, shift, field)
         # build q~(gamma, y): substitute x = gamma in the bivariate form
-        acc = [new_field.zero()]
+        acc = qpoly.ZERO
         gamma_pow = new_field.one()
         for i, c in enumerate(shifted):
             # c is an element of `field`: its coeffs give a poly in y
             cy = [gamma_pow * v for v in c.coeffs]
-            acc = _poly_add_new(acc, cy, new_field)
+            acc = qpoly.add(acc, cy)
             gamma_pow = gamma_pow * gamma
-        h = _poly_gcd(g_lifted, _poly_trim(acc), new_field)
+        h = qpoly.gcd(g_lifted, acc)
         if len(h) != 2:
             raise InvariantViolated("generator image gcd must be linear")
         alpha_img = -h[0]
@@ -698,16 +619,6 @@ def extend_by_irreducible(field: NumberField, q, max_degree=None):
         root = gamma - alpha_img * Fraction(shift)
         return new_field, embed, root
     raise RuntimeError("no squarefree shift found for extension")
-
-
-def _poly_add_new(p, q, field):
-    n = max(len(p), len(q))
-    out = []
-    for i in range(n):
-        a = p[i] if i < len(p) else field.zero()
-        b = q[i] if i < len(q) else field.zero()
-        out.append(a + b)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -774,9 +685,7 @@ def splitting_container(field: NumberField, max_degree: int = 24) -> SplittingCo
     while True:
         remaining = f_lifted
         for r in roots:
-            remaining, rem = _poly_divmod(
-                remaining, [-r, ambient.one()], ambient
-            )
+            remaining, rem = qpoly.divmod_poly(remaining, (-r, ambient.one()))
             if rem:
                 raise InvariantViolated("known root fails exact division")
         if len(remaining) <= 1:

@@ -1,14 +1,18 @@
-"""Exact univariate polynomial arithmetic over the rationals.
+"""Exact univariate polynomial arithmetic over Q or a number field.
 
-Polynomials are tuples of Fraction coefficients, lowest degree first, with
-no trailing zeros (the zero polynomial is the empty tuple).
+Polynomials are tuples of coefficients, lowest degree first, with no
+trailing zeros (the zero polynomial is the empty tuple). The coefficients
+are Fractions or the elements of one NumberField: anything with + - * /
+and == 0 works, and every zero a routine needs comes from its operands.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Poly = tuple  # tuple[Fraction, ...]
+from .errors import InvariantViolated
+
+Poly = tuple  # tuple of Fractions or of NumberFieldElements
 
 ZERO = ()
 ONE = (Fraction(1),)
@@ -48,7 +52,7 @@ def sub(p: Poly, q: Poly) -> Poly:
 def mul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[0] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -64,21 +68,21 @@ def scale(p: Poly, c) -> Poly:
 
 
 def divmod_poly(p: Poly, q: Poly):
-    """Exact rational division with remainder; q must be nonzero."""
+    """Exact division with remainder; q must be nonzero."""
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(p)
     dq = degree(q)
-    lead = q[-1]
-    quo = [Fraction(0)] * max(len(p) - dq, 0)
+    inv_lead = 1 / q[-1]
+    quo = []  # highest degree first
     for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i] / lead
+        c = rem[i] * inv_lead
+        quo.append(c)
         if c == 0:
             continue
-        quo[i - dq] = c
         for j in range(dq + 1):
             rem[i - dq + j] -= c * q[j]
-    return trim(quo), trim(rem)
+    return trim(reversed(quo)), trim(rem)
 
 
 def mod(p: Poly, q: Poly) -> Poly:
@@ -88,7 +92,8 @@ def mod(p: Poly, q: Poly) -> Poly:
 def monic(p: Poly) -> Poly:
     if not p:
         return p
-    return tuple(c / p[-1] for c in p)
+    inv_lead = 1 / p[-1]
+    return tuple(c * inv_lead for c in p)
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
@@ -115,7 +120,7 @@ def deriv(p: Poly) -> Poly:
 
 
 def evaluate(p: Poly, x):
-    acc = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
+    acc = x * 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -172,7 +177,8 @@ def int_roots(p, bound=None):
                         roots.add(int(r))
     else:
         c0 = p[0]
-        assert c0 != 0
+        if c0 == 0:
+            raise InvariantViolated("x = 0 roots were not divided out")
         n = abs(int(c0 * c0.denominator))  # integer multiple of the constant term
         divs = set()
         i = 1

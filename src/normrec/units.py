@@ -15,7 +15,7 @@ from itertools import product
 
 import mpmath
 
-from .errors import DecompositionFailed, NotAUnit, NotSquarefree
+from .errors import DecompositionFailed, InvariantViolated, NotAUnit, NotSquarefree
 from .numberfield import (
     NumberField,
     NumberFieldElement,
@@ -104,7 +104,8 @@ def fundamental_unit_real_quadratic(d: int) -> NumberFieldElement:
     theta = K.gen()
     omega_conj = (K.from_rational(p0) - theta) * Fraction(1, q0)
     eps = K.from_rational(h) - K.from_rational(k) * omega_conj
-    assert abs(norm(eps)) == 1 and is_algebraic_integer(eps)
+    if abs(norm(eps)) != 1 or not is_algebraic_integer(eps):
+        raise InvariantViolated("the continued fraction gave no unit")
     return eps
 
 

@@ -194,3 +194,24 @@ def test_output_deterministic(pell_file, capsys):
     main(["intersect", pell_file])
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"component": 5},
+        {"component": "1"},
+        {"recurrence": {"vars": 1, "terms": [5]}},
+        {"search": {"k_box": -1, "h_box": 30}},
+        {"search": {"k_box": 10, "h_box": -1}},
+        {"search": 5},
+    ],
+    ids=["component-out-of-range", "component-string", "term-not-object",
+         "negative-k-box", "negative-h-box", "search-not-object"],
+)
+def test_intersect_input_errors_exit_2(tmp_path, capsys, change):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(PELL_FILE, **change)))
+    assert main(["intersect", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")

@@ -1,11 +1,12 @@
-"""Univariate rational polynomial helpers."""
+"""Univariate polynomial helpers over Q and over a number field."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from normrec import qpoly
+from normrec.numberfield import field_create
 
 
 def F(*vals):
@@ -101,3 +102,41 @@ def test_division_identity(a, b):
 def test_deriv_degree_drop(a):
     if qpoly.degree(a) >= 1:
         assert qpoly.degree(qpoly.deriv(a)) <= qpoly.degree(a) - 1
+
+
+# the same routines over number field coefficients, in Q(2^(1/3))
+
+K3 = field_create([-2, 0, 0, 1])
+field_elts = st.lists(st.integers(-4, 4), min_size=3, max_size=3).map(K3.element)
+field_polys = st.lists(field_elts, min_size=0, max_size=4).map(qpoly.trim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_polys, field_polys)
+def test_field_division_identity(a, b):
+    if not b:
+        return
+    q, r = qpoly.divmod_poly(a, b)
+    assert qpoly.add(qpoly.mul(q, b), r) == a
+    assert qpoly.degree(r) < qpoly.degree(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_polys, field_polys, field_polys)
+def test_field_gcd_is_monic_common_divisor(c, u, v):
+    a, b = qpoly.mul(c, u), qpoly.mul(c, v)
+    if not a and not b:
+        return
+    g = qpoly.gcd(a, b)
+    assert g[-1] == 1
+    assert qpoly.mod(a, g) == () and qpoly.mod(b, g) == ()
+    if a and b:
+        assert qpoly.degree(g) >= qpoly.degree(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field_polys, field_elts)
+def test_field_compose_shift_roundtrip(p, c):
+    one = K3.one()
+    shifted = qpoly.compose(p, (c, one))
+    assert qpoly.compose(shifted, (-c, one)) == p

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from normrec.errors import NotAUnit, NotSquarefree
+from normrec import units
+from normrec.errors import InvariantViolated, NotAUnit, NotSquarefree
 from normrec.numberfield import field_create, norm
 from normrec.units import (
     UnitSystem,
@@ -21,6 +22,13 @@ def test_fundamental_unit_d2():
     eps = fundamental_unit_real_quadratic(2)
     assert eps.coeffs == (Fraction(1), Fraction(1))  # 1 + sqrt(2)
     assert norm(eps) == -1
+
+
+def test_fundamental_unit_check_survives_optimized_mode(monkeypatch):
+    # a typed error, not a bare assert that python -O would strip
+    monkeypatch.setattr(units, "is_algebraic_integer", lambda a: False)
+    with pytest.raises(InvariantViolated):
+        fundamental_unit_real_quadratic(2)
 
 
 def test_fundamental_unit_d3():
