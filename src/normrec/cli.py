@@ -30,7 +30,7 @@ from .multirec import MPoly, MultiRecurrence, sml_zero_structure
 from .normform import NormFormProblem, build_component_recurrences, solve_bruteforce
 from .numberfield import field_create
 from .uniteq import GroupSpec, ess_bound, solve_unit_equation
-from .units import UnitSystem, auto_unit_system
+from .units import UnitSystem, auto_unit_system, is_unit
 
 
 class ProblemFileError(Exception):
@@ -141,10 +141,14 @@ def _parse_problem(doc):
         raise ProblemFileError("m", "target norm must be an integer")
     unit_system = None
     if doc.get("units"):
-        units = [
-            _parse_element(field, u, f"units[{i}]")
-            for i, u in enumerate(doc["units"])
-        ]
+        if not isinstance(doc["units"], list):
+            raise ProblemFileError("units", "expected a list of coefficient vectors")
+        units = []
+        for i, u in enumerate(doc["units"]):
+            unit = _parse_element(field, u, f"units[{i}]")
+            if not is_unit(unit):
+                raise ProblemFileError(f"units[{i}]", f"{u!r} is not a unit")
+            units.append(unit)
         unit_system = UnitSystem(field, units)
     elif doc.get("auto_units_quadratic"):
         try:
@@ -154,13 +158,18 @@ def _parse_problem(doc):
     search = doc.get("search", {})
     if not isinstance(search, dict):
         raise ProblemFileError("search", "expected an object")
+    max_degree = search.get("max_splitting_degree", 24)
+    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 1:
+        raise ProblemFileError(
+            "search.max_splitting_degree", f"expected a positive integer, got {max_degree!r}"
+        )
     try:
         problem = NormFormProblem(
             field,
             alphas,
             int(m),
             unit_system=unit_system,
-            max_splitting_degree=int(search.get("max_splitting_degree", 24)),
+            max_splitting_degree=max_degree,
         )
     except ValueError as exc:
         raise ProblemFileError("alphas", str(exc)) from exc
@@ -200,7 +209,10 @@ def _emit(doc, out=None):
 def cmd_solve(args):
     doc = _load(args.file)
     problem = _parse_problem(doc)
-    sols = solve_bruteforce(problem, args.box)
+    try:
+        sols = solve_bruteforce(problem, args.box)
+    except ValueError as exc:
+        raise ProblemFileError("--box", str(exc)) from exc
     _emit(
         {
             "command": "solve",

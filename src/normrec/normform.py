@@ -1,5 +1,9 @@
 """Norm form problems: brute-force oracle, norm-m representatives,
 embedding matrices, component multi-recurrences, and lifts to extensions.
+
+The brute-force oracle runs on plain ints: a quadratic form is solved
+through its discriminant, sieved by residue tables, and a form of any other
+degree through one bounded integer root scan per prefix of coordinates.
 """
 
 from __future__ import annotations
@@ -7,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, product
-from math import isqrt
 
 from . import linalg, qpoly
 from .errors import DegreeCapExceeded, InvariantViolated, NoNonsingularSelection
@@ -100,57 +103,77 @@ class NormFormProblem:
 def solve_bruteforce(problem: NormFormProblem, box: int):
     """All x in Z^n with |x_i| <= box and N(x . alpha) = m, lex sorted.
 
-    Enumerates the first n-1 coordinates and solves the last coordinate as
-    an integer root problem of the univariate norm polynomial.
+    The norm form is homogeneous of degree d = [K:Q], so its coefficient of
+    x_n^d is the constant N(alpha_n) != 0. Grouped by the power of x_n, it
+    is a polynomial in x_n whose coefficients are integer polynomials in the
+    prefix (x_1, ..., x_{n-1}); for n = 1 the prefix is empty. For d != 2,
+    each prefix in the box costs one ``qpoly.int_roots`` call. For d = 2
+    (so n <= 2) see ``_solve_quadratic``.
     """
-    n = problem.n
-    m = problem.m
-    npoly = problem.norm_polynomial()
-    if n == 1:
-        sols = []
-        for x in range(-box, box + 1):
-            if x and problem.norm_of_vector((x,)) == m:
-                sols.append((x,))
-        return sorted(sols)
-    # split monomials by the exponent of the last variable
-    by_last = {}
-    for exps, c in npoly.items():
-        by_last.setdefault(exps[-1], []).append((exps[:-1], c))
-    max_deg = max(by_last)
-    quadratic = max_deg == 2
+    if box < 0:
+        raise ValueError(f"box must be nonnegative, got {box}")
+    n, d = problem.n, problem.field.degree
+    # coeff[e]: the coefficient of x_n^e as [(prefix exponents, int)]
+    coeff = [[] for _ in range(d + 1)]
+    for exps, c in problem.norm_polynomial().items():
+        coeff[exps[-1]].append((exps[:-1], c))
+    coeff[0].append(((0,) * (n - 1), -problem.m))
+    if d == 2:
+        return _solve_quadratic(coeff, n, box)
     sols = []
     for prefix in product(range(-box, box + 1), repeat=n - 1):
-        coeffs = [0] * (max_deg + 1)
-        for e_last, terms in by_last.items():
-            acc = 0
-            for pexps, c in terms:
-                val = c
-                for e, xi in zip(pexps, prefix):
-                    if e:
-                        val *= xi**e
-                acc += val
-            coeffs[e_last] = acc
-        coeffs[0] -= m
-        if quadratic:
-            c0, c1, c2 = coeffs
-            if c2 == 0:
-                roots = qpoly.int_roots(coeffs, bound=box)
-            else:
-                disc = c1 * c1 - 4 * c2 * c0
-                roots = []
-                if disc >= 0:
-                    sq = isqrt(disc)
-                    if sq * sq == disc:
-                        for sgn in (1, -1):
-                            num = -c1 + sgn * sq
-                            if num % (2 * c2) == 0:
-                                rt = num // (2 * c2)
-                                if abs(rt) <= box:
-                                    roots.append(rt)
-        else:
-            roots = qpoly.int_roots(coeffs, bound=box)
-        for rt in set(roots):
-            sols.append(prefix + (rt,))
+        values = [_evaluate(terms, prefix) for terms in coeff]
+        sols.extend(prefix + (x,) for x in qpoly.int_roots(values, bound=box))
+    return sols
+
+
+def _evaluate(terms, point):
+    acc = 0
+    for exps, c in terms:
+        for e, x in zip(exps, point):
+            if e:
+                c *= x**e
+        acc += c
+    return acc
+
+
+def _solve_quadratic(coeff, n, box):
+    """solve_bruteforce for d = 2: a x_n^2 + C1(x_1) x_n + C0(x_1) - m = 0
+    has an integer root only where the discriminant
+    D(x_1) = C1(x_1)^2 - 4a (C0(x_1) - m), an integer polynomial of degree
+    <= 2, is a square. D(x_1) mod M depends on x_1 mod M alone, so for each
+    modulus M of the square test of Cohen, GTM 138, Alg. 1.7.3, one table
+    marks the residues of x_1 for which D(x_1) is a square mod M; isqrt
+    runs only on the x_1 that pass every table. An empty prefix (n = 1) is
+    the case of a constant D, with x_1 = 0 left out of the solutions.
+    """
+    c2, c1, c0 = ([0] * 3 for _ in range(3))
+    for poly, terms in zip((c0, c1, c2), coeff):
+        for exps, c in terms:
+            poly[sum(exps)] += c  # the exponent of x_1, 0 when n = 1
+    a = c2[0]
+    disc = qpoly.sub(qpoly.mul(c1, c1), qpoly.scale(c0, 4 * a))
+    d0, d1, d2 = disc + (0,) * (3 - len(disc))
+    tables = []
+    for mod in (64, 63, 65, 11):
+        squares = {s * s % mod for s in range(mod)}
+        tables.append([(d0 + (d1 + d2 * r) * r) % mod in squares for r in range(mod)])
+    q64, q63, q65, q11 = tables
+    b0, b1 = c1[0], c1[1]
+    lo, hi = (-box, box) if n == 2 else (0, 0)
+    sols = []
+    # walk the box once per residue class of x_1 mod 64 * 63 that passes the
+    # first two tables
+    step = 64 * 63
+    for r in range(step):
+        if not (q64[r & 63] and q63[r % 63]):
+            continue
+        for x1 in range(lo + (r - lo) % step, hi + 1, step):
+            if q65[x1 % 65] and q11[x1 % 11]:
+                prefix = (x1,)[: n - 1]
+                for x in qpoly._quadratic_roots(a, b0 + b1 * x1, d0 + (d1 + d2 * x1) * x1):
+                    if abs(x) <= box:
+                        sols.append(prefix + (x,))
     return sorted(sols)
 
 
@@ -216,9 +239,11 @@ def embedding_matrix(problem: NormFormProblem, sc=None) -> EmbeddingMatrix:
     conj = [[sc.embed(a, i) for a in problem.alphas] for i in range(d)]
     for subset in combinations(range(d), n):
         mat = [conj[i] for i in subset]
-        if linalg.det(mat, amb.zero()) != amb.zero():
+        try:
             inv = linalg.inverse(mat, amb.zero(), amb.one())
-            return EmbeddingMatrix(subset, mat, inv)
+        except ZeroDivisionError:
+            continue
+        return EmbeddingMatrix(subset, mat, inv)
     raise NoNonsingularSelection(
         "every embedding selection is singular; generators are dependent"
     )

@@ -4,13 +4,15 @@ Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros (the zero polynomial is the empty tuple). The coefficients
 are Fractions or the elements of one NumberField: anything with + - * /
 and == 0 works, and every zero a routine needs comes from its operands.
+``int_roots`` is the exception: it takes integer coefficients and works on
+plain ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import InvariantViolated
+from math import isqrt
+from operator import index
 
 Poly = tuple  # tuple of Fractions or of NumberFieldElements
 
@@ -119,13 +121,6 @@ def deriv(p: Poly) -> Poly:
     return trim(i * p[i] for i in range(1, len(p)))
 
 
-def evaluate(p: Poly, x):
-    acc = x * 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def compose(p: Poly, q: Poly) -> Poly:
     """p(q(x))."""
     acc = ZERO
@@ -138,61 +133,61 @@ def is_squarefree(p: Poly) -> bool:
     return degree(gcd(p, deriv(p))) == 0
 
 
+def _quadratic_roots(a, b, disc):
+    """Integer roots of a*x^2 + b*x + c (integers, a != 0), ascending, given
+    its discriminant disc = b^2 - 4ac."""
+    if disc < 0:
+        return []
+    s = isqrt(disc)
+    if s * s != disc:
+        return []
+    two_a = 2 * a
+    return sorted({(e - b) // two_a for e in (s, -s) if (e - b) % two_a == 0})
+
+
 def int_roots(p, bound=None):
-    """Integer roots of an integer-coefficient polynomial, |root| <= bound.
+    """Integer roots of an integer-coefficient polynomial, ascending: those
+    with |root| <= bound, or all of them when bound is None.
 
-    Fast paths for degree <= 2; otherwise scans divisor candidates of the
-    trailing coefficient.
+    After the x = 0 roots are divided out, degrees 1 and 2 are solved in
+    closed form. From degree 3 on, a root t divides the constant term c0
+    and obeys the Cauchy bound |t| <= 1 + max_{i<d} |c_i| // |c_d|. The
+    candidates up to the smaller of that bound and ``bound`` are read off
+    a divisor scan, which stops at sqrt|c0| (pairing t with |c0| // t) when
+    that comes first, and each is checked by integer Horner evaluation.
     """
-    from math import isqrt
-
-    p = trim(Fraction(c) for c in p)
+    p = trim(index(c) for c in p)
     if not p:
         raise ValueError("zero polynomial has every root")
-    roots = set()
-    # pull out x = 0 roots
     k = 0
-    while k < len(p) and p[k] == 0:
+    while p[k] == 0:
         k += 1
-    if k > 0:
-        roots.add(0)
-        p = p[k:]
-    d = degree(p)
-    if d == 0:
-        pass
-    elif d == 1:
-        b, a = p[0], p[1]
-        r = -b / a
-        if r.denominator == 1:
-            roots.add(int(r))
+    roots = {0} if k else set()
+    p = p[k:]
+    d = len(p) - 1
+    if d == 1:
+        if p[0] % p[1] == 0:
+            roots.add(-p[0] // p[1])
     elif d == 2:
-        c, b, a = p[0], p[1], p[2]
-        disc = b * b - 4 * a * c
-        if disc >= 0 and disc.denominator == 1:
-            s = isqrt(int(disc))
-            if s * s == int(disc):
-                for sign in (1, -1):
-                    r = (-b + sign * s) / (2 * a)
-                    if r.denominator == 1:
-                        roots.add(int(r))
-    else:
-        c0 = p[0]
-        if c0 == 0:
-            raise InvariantViolated("x = 0 roots were not divided out")
-        n = abs(int(c0 * c0.denominator))  # integer multiple of the constant term
-        divs = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                divs.add(i)
-                divs.add(n // i)
-            i += 1
-        for t in divs:
-            for cand in (t, -t):
-                if bound is not None and abs(cand) > bound:
-                    continue
-                if evaluate(p, Fraction(cand)) == 0:
-                    roots.add(cand)
+        c, b, a = p
+        roots.update(_quadratic_roots(a, b, b * b - 4 * a * c))
+    elif d >= 3:
+        limit = 1 + max(abs(c) for c in p[:-1]) // abs(p[-1])
+        if bound is not None:
+            limit = min(limit, bound)
+        c0 = abs(p[0])
+        r = isqrt(c0)
+        if limit <= r:
+            cands = [t for t in range(1, limit + 1) if c0 % t == 0]
+        else:
+            cands = {u for t in range(1, r + 1) if c0 % t == 0 for u in (t, c0 // t) if u <= limit}
+        for t in cands:
+            for x in (t, -t):
+                acc = 0
+                for c in reversed(p):
+                    acc = acc * x + c
+                if acc == 0:
+                    roots.add(x)
     if bound is not None:
-        roots = {r for r in roots if abs(r) <= bound}
+        roots = {x for x in roots if abs(x) <= bound}
     return sorted(roots)

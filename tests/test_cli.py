@@ -215,3 +215,31 @@ def test_intersect_input_errors_exit_2(tmp_path, capsys, change):
     assert main(["intersect", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        ({"units": 5}, "units"),
+        ({"units": [[2, 0]]}, "units[0]"),
+        ({"units": [[3, 2], ["1/2", 0]]}, "units[1]"),
+        ({"search": {"max_splitting_degree": "x"}}, "search.max_splitting_degree"),
+        ({"search": {"max_splitting_degree": 0}}, "search.max_splitting_degree"),
+        ({"search": {"max_splitting_degree": 2.5}}, "search.max_splitting_degree"),
+    ],
+    ids=["units-not-a-list", "not-a-unit", "second-not-a-unit", "max-degree-string", "max-degree-zero",
+         "max-degree-float"],
+)
+def test_problem_input_errors_name_their_path(tmp_path, capsys, change, path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(PELL_FILE, **change)))
+    for argv in (["intersect", str(p)], ["solve", str(p)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {path}: ")
+
+
+def test_solve_negative_box_exit_2(pell_file, capsys):
+    assert main(["solve", pell_file, "--box", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --box: ")

@@ -2,9 +2,11 @@
 embeddings, lifts."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from normrec import linalg
 from normrec.errors import DegreeCapExceeded
 from normrec.normform import (
     NormFormProblem,
@@ -114,6 +116,40 @@ def test_embedding_matrix_pell(pell):
         for i in range(n)
     ]
     amb = sc.ambient
+    assert prod == [[amb.one(), amb.zero()], [amb.zero(), amb.one()]]
+
+
+def _sqrt2_in_biquadratic():
+    # K = Q(sqrt 2 + sqrt 3); sqrt 2 = (theta^3 - 9 theta) / 2
+    K = field_create([1, 0, -10, 0, 1])
+    th = K.gen()
+    return K, [K.one(), (th**3 - th * 9) * Fraction(1, 2)]
+
+
+def _theta_squared_in_quartic():
+    # K = Q(2^(1/4)); theta^2 = sqrt 2 takes each value at two embeddings
+    K = field_create([-2, 0, 0, 0, 1])
+    return K, [K.one(), K.gen() ** 2]
+
+
+@pytest.mark.parametrize("make", [_theta_squared_in_quartic, _sqrt2_in_biquadratic])
+def test_embedding_matrix_skips_singular_selections(make):
+    K, alphas = make()
+    p = NormFormProblem(K, alphas, 1)
+    sc = p.splitting()
+    amb = sc.ambient
+    conj = [[sc.embed(a, i) for a in alphas] for i in range(K.degree)]
+    nonsingular = [
+        s for s in combinations(range(K.degree), 2)
+        if linalg.det([conj[i] for i in s], amb.zero()) != amb.zero()
+    ]
+    assert len(nonsingular) < 6  # some selections are singular
+    emb = embedding_matrix(p)
+    assert emb.sigma_indices == nonsingular[0]
+    prod = [
+        [sum((emb.matrix[i][k] * emb.inverse[k][j] for k in range(2)), amb.zero()) for j in range(2)]
+        for i in range(2)
+    ]
     assert prod == [[amb.one(), amb.zero()], [amb.zero(), amb.one()]]
 
 
