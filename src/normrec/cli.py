@@ -155,9 +155,7 @@ def _parse_problem(doc):
             unit_system = auto_unit_system(field)
         except NormrecError as exc:
             raise ProblemFileError("auto_units_quadratic", str(exc)) from exc
-    search = doc.get("search", {})
-    if not isinstance(search, dict):
-        raise ProblemFileError("search", "expected an object")
+    search = _search_section(doc)
     max_degree = search.get("max_splitting_degree", 24)
     if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 1:
         raise ProblemFileError(
@@ -176,17 +174,25 @@ def _parse_problem(doc):
     return problem
 
 
-def _parse_config(doc):
+def _search_section(doc):
     search = doc.get("search", {})
+    if not isinstance(search, dict):
+        raise ProblemFileError("search", "expected an object")
+    return search
+
+
+def _nonnegative_int(value, path):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ProblemFileError(path, f"expected a nonnegative integer, got {value!r}")
+    return value
+
+
+def _parse_config(doc):
+    search = _search_section(doc)
     cfg = IntersectConfig()
-    for key in ("k_box", "h_box", "coeff_bound", "structure_threshold"):
+    for key in ("k_box", "h_box", "structure_threshold"):
         if key in search:
-            value = search[key]
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ProblemFileError(
-                    f"search.{key}", f"expected a nonnegative integer, got {value!r}"
-                )
-            setattr(cfg, key, value)
+            setattr(cfg, key, _nonnegative_int(search[key], f"search.{key}"))
     return cfg
 
 
@@ -322,7 +328,11 @@ def cmd_uniteq(args):
         grp = GroupSpec(len(a), gens)
     except ValueError as exc:
         raise ProblemFileError("generators", str(exc)) from exc
-    bound = int(doc.get("search", {}).get("expo_bound", args.expo_bound))
+    search = _search_section(doc)
+    if "expo_bound" in search:
+        bound = _nonnegative_int(search["expo_bound"], "search.expo_bound")
+    else:
+        bound = _nonnegative_int(args.expo_bound, "--expo-bound")
     try:
         sols = solve_unit_equation(a, grp, bound)
     except ValueError as exc:

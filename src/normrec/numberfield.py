@@ -371,7 +371,7 @@ def is_algebraic_integer(a: NumberFieldElement) -> bool:
 
 @lru_cache(maxsize=None)
 def _torsion_candidate_orders(d: int):
-    """All n >= 1 with euler_phi(n) <= d, ascending."""
+    """All n >= 1 with euler_phi(n) = [Q(zeta_n):Q] dividing d, ascending."""
     out = []
     # phi(n) > sqrt(n/2) for all n, so n <= 2*(d+1)^2 is a safe scan range
     limit = 2 * (d + 1) * (d + 1) + 1
@@ -386,7 +386,7 @@ def _torsion_candidate_orders(d: int):
             p += 1
         if m > 1:
             phi -= phi // m
-        if phi <= d:
+        if d % phi == 0:
             out.append(n)
     return tuple(out)
 
@@ -431,8 +431,6 @@ def _find_primitive_root_of_unity(field: NumberField, n: int):
     """
     cyc = sp.Poly(sp.cyclotomic_poly(n, _X), _X)
     coeffs = [Fraction(int(c)) for c in reversed(cyc.all_coeffs())]
-    if len(coeffs) - 1 > field.degree:
-        return None
     lifted = [field.from_rational(c) for c in coeffs]
     for fac in factor_over_field(lifted, field):
         if len(fac) == 2:  # monic linear: x + c

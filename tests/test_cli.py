@@ -1,6 +1,7 @@
 """CLI subcommands, problem file parsing, exit codes, serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ PELL_FILE = {
     },
     "search": {"k_box": 10, "h_box": 30},
 }
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -186,6 +190,37 @@ def test_uniteq(tmp_path, capsys):
     assert len(out["solutions"]) == 1
     assert out["solutions"][0]["y"] == [["1/2"], ["1/2"]]
     assert out["solutions"][0]["degenerate"] is False
+
+
+@pytest.mark.parametrize(
+    "search, extra, path",
+    [
+        (5, [], "search"),
+        ({"expo_bound": "x"}, [], "search.expo_bound"),
+        ({"expo_bound": 2.7}, [], "search.expo_bound"),
+        ({"expo_bound": True}, [], "search.expo_bound"),
+        ({"expo_bound": -1}, [], "search.expo_bound"),
+        ({}, ["--expo-bound", "-1"], "--expo-bound"),
+    ],
+    ids=["search-not-object", "bound-string", "bound-float", "bound-bool",
+         "bound-negative", "flag-negative"],
+)
+def test_uniteq_input_errors_name_their_path(tmp_path, capsys, search, extra, path):
+    doc = {"field": [0, 1], "a": [1, 1], "generators": [[2, 2]], "search": search}
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["uniteq", str(p), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}: ")
+
+
+@pytest.mark.parametrize("name", ["readme_pell", "pell_pow2", "planted_s2"])
+def test_intersect_golden_documents(capsys, name):
+    """reduced-exception, finite-within-box with a hit, and an s = 2
+    exception: the whole output document, byte for byte."""
+    assert main(["intersect", str(DATA / f"{name}.json")]) == 0
+    assert capsys.readouterr().out == (DATA / f"{name}.expected.json").read_text()
 
 
 def test_output_deterministic(pell_file, capsys):

@@ -1,10 +1,14 @@
 """Coincidence detection, dependency fitting, certificates, reports."""
 
+import dataclasses
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from normrec.errors import InsufficientWitnesses, NonSimpleUnsupported
+from normrec import intersect, linalg
+from normrec.errors import InsufficientWitnesses, InvariantViolated, NonSimpleUnsupported
 from normrec.intersect import (
     ExceptionCertificate,
     FinitenessReport,
@@ -18,9 +22,9 @@ from normrec.intersect import (
     result_document,
     sample_verify,
 )
-from normrec.multirec import MPoly, MultiRecurrence
-from normrec.normform import NormFormProblem
-from normrec.numberfield import field_create
+from normrec.multirec import MPoly, MultiRecurrence, ShiftedSublattice
+from normrec.normform import NormFormProblem, build_component_recurrences
+from normrec.numberfield import field_create, norm
 from normrec.units import UnitSystem, auto_unit_system
 
 
@@ -99,8 +103,78 @@ def test_find_coincidences_integer_base_hypothesis(pell, K2):
     assert [h.x_value for h in hits] == [1]
 
 
+def _reference_join(problem, g, k_box, h_box, crs):
+    """Component 1 of a power-basis problem: H(h) evaluated in the ambient
+    field, first h per value, then G(k) looked up in that table."""
+    table = {}
+    for idx, cr in enumerate(crs):
+        for h in product(range(h_box + 1), repeat=cr.recurrence.vars):
+            if not cr.h_valid(h):
+                continue
+            val = cr.recurrence.evaluate(h)
+            if not val.is_rational() or val.as_rational().denominator != 1:
+                continue
+            element = cr.mu * cr.unit_for(h)
+            if any(c.denominator != 1 for c in element.coeffs) or norm(element) != problem.m:
+                continue
+            vec = tuple(int(c) for c in element.coeffs)
+            assert vec[0] == val.as_rational()
+            table.setdefault(vec[0], (h, idx, vec))
+    hits = []
+    for k in product(range(k_box + 1), repeat=g.vars):
+        val = g.evaluate(k)
+        if val.is_rational() and val.as_rational() in table:
+            h, idx, vec = table[val.as_rational()]
+            hits.append(Hit(int(val.as_rational()), k, h, idx, vec))
+    return hits
+
+
+def _power_basis_problem(min_poly, units):
+    K = field_create(min_poly)
+    basis = [K.one()]
+    for _ in range(K.degree - 1):
+        basis.append(basis[-1] * K.gen())
+    system = UnitSystem(K, [K.element([Fraction(c) for c in u]) for u in units])
+    return K, NormFormProblem(K, basis, 1, unit_system=system)
+
+
+@pytest.mark.parametrize(
+    "min_poly, units, k_box, h_box, rep_bound, a_row, b",
+    [
+        ([-2, 0, 0, 1], [[-1, 1, 0]], 8, 20, 2, (2,), (1,)),
+        ([-2, 0, 0, 1], [[-1, 1, 0]], 8, 20, 2, (3,), (1,)),
+        ([-2, 0, 0, 1], [[-1, 1, 0]], 8, 20, 2, None, None),
+        ([-2, 0, 0, 0, 1], [[-1, 1, 0, 0], [-1, 0, 1, 0]], 6, 8, 1, (2, 1), (0, 1)),
+        ([-2, 0, 0, 0, 1], [[-1, 1, 0, 0], [-1, 0, 1, 0]], 6, 8, 1, None, None),
+    ],
+    ids=["cubic-a2", "cubic-a3", "cubic-control", "quartic-planted", "quartic-control"],
+)
+def test_find_coincidences_matches_ambient_reference(
+    min_poly, units, k_box, h_box, rep_bound, a_row, b
+):
+    K, problem = _power_basis_problem(min_poly, units)
+    crs = build_component_recurrences(problem, 1, coeff_bound=rep_bound)
+    if a_row is None:
+        g = MultiRecurrence.simple(K, 1, [(2, (3,))])
+    else:
+        g = crs[0].recurrence.restrict_sublattice(ShiftedSublattice((a_row,), b))
+    hits = find_coincidences(problem, 1, g, k_box, h_box, component_recurrences=crs)
+    assert hits == _reference_join(problem, g, k_box, h_box, crs)
+    assert hits or a_row is None
+
+
+def test_find_coincidences_checks_h_at_hits(pell_eps0, K2):
+    crs = build_component_recurrences(pell_eps0, 1)
+    g = odd_power_recurrence(K2)
+    assert find_coincidences(pell_eps0, 1, g, 3, 12, component_recurrences=crs)
+    one = MultiRecurrence.simple(crs[0].recurrence.field, 1, [(1, (1,))])
+    off_by_one = dataclasses.replace(crs[0], recurrence=crs[0].recurrence + one)
+    with pytest.raises(InvariantViolated):
+        find_coincidences(pell_eps0, 1, g, 3, 12, component_recurrences=[off_by_one])
+
+
 def test_fit_linear_dependencies_proportional():
-    rep = fit_linear_dependencies([(1, 2), (2, 4), (3, 6)], 4)
+    rep = fit_linear_dependencies([(1, 2), (2, 4), (3, 6)])
     assert rep.constant_components == {}
     assert rep.free_indices == [0]
     assert len(rep.relations) == 1
@@ -110,14 +184,14 @@ def test_fit_linear_dependencies_proportional():
 
 
 def test_fit_linear_dependencies_constant():
-    rep = fit_linear_dependencies([(0, 5), (1, 5), (7, 5)], 4)
+    rep = fit_linear_dependencies([(0, 5), (1, 5), (7, 5)])
     assert rep.constant_components == {1: 5}
     assert rep.free_indices == [0]
     assert rep.relations == []
 
 
 def test_fit_linear_dependencies_affine():
-    rep = fit_linear_dependencies([(1, 1), (2, 3), (3, 5)], 4)
+    rep = fit_linear_dependencies([(1, 1), (2, 3), (3, 5)])
     rel = rep.relations[0]
     # k2 = 2 k1 - 1
     assert rel.dependent_index == 1
@@ -126,7 +200,52 @@ def test_fit_linear_dependencies_affine():
 
 def test_fit_linear_dependencies_needs_witnesses():
     with pytest.raises(InsufficientWitnesses):
-        fit_linear_dependencies([(1, 2)], 4)
+        fit_linear_dependencies([(1, 2)])
+
+
+@st.composite
+def witness_sets(draw):
+    """Integer witnesses in s <= 4 components, each constant, free, or an
+    integer affine combination of the free components before it."""
+    s = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 8))
+    small = st.integers(-20, 20)
+    columns = []
+    free_cols = []
+    for _ in range(s):
+        kind = draw(st.sampled_from(["constant", "free", "relation"]))
+        if kind == "constant":
+            columns.append([draw(small)] * n)
+        elif kind == "free" or not free_cols:
+            columns.append([draw(small) for _ in range(n)])
+            free_cols.append(columns[-1])
+        else:
+            a0 = draw(small)
+            coeffs = [draw(st.integers(-3, 3)) for _ in free_cols]
+            columns.append(
+                [a0 + sum(c * col[w] for c, col in zip(coeffs, free_cols)) for w in range(n)]
+            )
+    return [tuple(col[w] for col in columns) for w in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(witness_sets())
+def test_fit_linear_dependencies_relations_hold_and_free_indices_are_independent(ks):
+    rep = fit_linear_dependencies(ks)
+    s = len(ks[0])
+    for i, value in rep.constant_components.items():
+        assert all(k[i] == value for k in ks)
+    dependent = [rel.dependent_index for rel in rep.relations]
+    indices = list(rep.constant_components) + dependent + rep.free_indices
+    assert sorted(indices) == list(range(s))
+    for rel in rep.relations:
+        assert set(rel.coefficients) <= set(rep.free_indices)
+        for k in ks:
+            lhs = rel.a0 + sum(c * k[v] for v, c in rel.coefficients.items())
+            assert lhs == rel.denominator * k[rel.dependent_index]
+    # no affine relation at all, bounded or not, among the free indices
+    rows = [[Fraction(k[i]) for i in rep.free_indices] + [Fraction(1)] for k in ks]
+    assert linalg.rank(rows, Fraction(0)) == len(rep.free_indices) + 1
 
 
 def _hit(k, h):
@@ -194,6 +313,21 @@ def test_detect_reduced_exception_perturbed(pell_eps0, K2):
     assert isinstance(res, ExceptionCertificate)
     assert res.reduced and res.g0.is_zero()
     assert res.progression.offsets == (0,) and res.progression.steps == (2,)
+
+
+@pytest.mark.parametrize("perturb, samplings", [(False, 1), (True, 2)])
+def test_detect_reduced_exception_samples_g0_free_certificate_once(
+    pell_eps0, K2, monkeypatch, perturb, samplings
+):
+    calls = []
+    real = intersect.sample_verify
+    monkeypatch.setattr(intersect, "sample_verify", lambda *a: calls.append(a) or real(*a))
+    g = odd_power_recurrence(K2)
+    if perturb:
+        g = g + parity_perturbation(K2)
+    res = detect_reduced_exception(pell_eps0, 1, g, IntersectConfig(k_box=14, h_box=70))
+    assert res.reduced and len(calls) == samplings
+    assert res.verification["point-sampling"] and res.verification["reduced-identity"]
 
 
 def test_detect_reduced_exception_constant(pell, K2):

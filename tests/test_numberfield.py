@@ -157,6 +157,28 @@ def test_torsion_units_gaussian():
     assert g ** 4 == 1 and g ** 2 != 1
 
 
+@pytest.mark.parametrize(
+    "min_poly, order",
+    [([1, 0, 1], 4), ([1, 1, 1], 6), ([1, 1, 1, 1, 1], 10)],
+    ids=["Q(i)", "Q(zeta_3)", "Q(zeta_5)"],
+)
+def test_torsion_orders_of_cyclotomic_fields(min_poly, order):
+    assert torsion_units(field_create(min_poly))[0] == order
+
+
+def test_torsion_units_of_a_cubic_field_factor_nothing(monkeypatch):
+    # euler_phi(n) divides 3 only for n = 1, 2: no cyclotomic factorization
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return factor_over_field(*args, **kwargs)
+
+    monkeypatch.setattr(numberfield, "factor_over_field", counting)
+    assert torsion_units(field_create([-2, 0, 0, 1]))[0] == 2
+    assert calls == []
+
+
 def test_factor_over_field_splits_min_poly(K2):
     # x^2 - 2 factors as (x - sqrt2)(x + sqrt2) over K2
     p = [K2.from_rational(-2), K2.zero(), K2.one()]
