@@ -10,7 +10,6 @@ from .errors import (
     DegreeCapExceeded,
     DimensionCapExceeded,
     DivisionByZero,
-    InsufficientWitnesses,
     NoNonsingularSelection,
     NonIntegerBase,
     NonMonic,
@@ -81,12 +80,10 @@ from .intersect import (
     FinitenessReport,
     Hit,
     IntersectConfig,
-    LinearDependencyReport,
     detect_exception,
     detect_reduced_exception,
     find_coincidences,
     fit_affine_lattice,
-    fit_linear_dependencies,
     result_document,
     sample_verify,
 )

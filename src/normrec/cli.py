@@ -328,11 +328,12 @@ def cmd_uniteq(args):
         grp = GroupSpec(len(a), gens)
     except ValueError as exc:
         raise ProblemFileError("generators", str(exc)) from exc
+    # an explicit --expo-bound wins over the file's search.expo_bound
     search = _search_section(doc)
-    if "expo_bound" in search:
-        bound = _nonnegative_int(search["expo_bound"], "search.expo_bound")
-    else:
+    if args.expo_bound is not None:
         bound = _nonnegative_int(args.expo_bound, "--expo-bound")
+    else:
+        bound = _nonnegative_int(search.get("expo_bound", 3), "search.expo_bound")
     try:
         sols = solve_unit_equation(a, grp, bound)
     except ValueError as exc:
@@ -388,7 +389,10 @@ def build_parser():
 
     p = sub.add_parser("uniteq", help="solve a generalized unit equation in a box")
     p.add_argument("file")
-    p.add_argument("--expo-bound", type=int, default=3)
+    p.add_argument(
+        "--expo-bound", type=int, default=None,
+        help="exponent box; overrides the file's search.expo_bound (default 3)",
+    )
     p.set_defaults(func=cmd_uniteq)
 
     return parser

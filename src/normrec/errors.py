@@ -55,9 +55,5 @@ class DimensionCapExceeded(NormrecError):
     pass
 
 
-class InsufficientWitnesses(NormrecError):
-    pass
-
-
 class InvariantViolated(NormrecError):
     """An identity that exact algebra guarantees failed to hold."""

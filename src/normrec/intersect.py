@@ -3,11 +3,12 @@ simple multi-recurrence, with finiteness reports or symbolically verified
 exception certificates as outcomes.
 
 The pipeline: witness collection (G(k) joined against H(h) tabulated in
-K), linear-dependency fitting, proportional-term reduction, pairing of
-exponential parts by exact ratio constancy, unit decomposition of the
-paired bases into a shifted sublattice, and a final merge-and-cancel
-verification along an arithmetic progression. Any unverifiable step
-demotes the outcome to a report; certificates are never guessed.
+K), proportional-term reduction, pairing of exponential parts by exact
+ratio constancy, the exact fit of the shifted sublattice h = k A + b
+through the witnesses, the torsion order of each paired G base over the
+H bases raised to its row of A, and a final merge-and-cancel verification
+along the progression those orders refine. Any unverifiable step demotes
+the outcome to a report; certificates are never guessed.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ from itertools import product
 from math import gcd, lcm
 
 from . import linalg
-from .errors import (
-    DecompositionFailed,
-    InsufficientWitnesses,
-    InvariantViolated,
-    NonIntegerBase,
-    NonSimpleUnsupported,
-    NotAUnit,
-)
+from .errors import InvariantViolated, NonIntegerBase, NonSimpleUnsupported
 from .multirec import (
     MPoly,
     MultiProgression,
@@ -37,7 +31,6 @@ from .multirec import (
 )
 from .normform import ComponentRecurrence, NormFormProblem, build_component_recurrences
 from .numberfield import is_algebraic_integer, is_root_of_unity, norm
-from .units import unit_decompose
 
 
 @dataclass
@@ -76,7 +69,6 @@ class ExceptionCertificate:
     g0: MultiRecurrence
     reduced: bool
     witnesses: list
-    lifted: bool = False
     verification: dict = dc_field(default_factory=dict)
 
     @property
@@ -181,83 +173,17 @@ def find_coincidences(
     return hits
 
 
-@dataclass
-class LinearRelation:
-    dependent_index: int
-    denominator: int
-    a0: int
-    coefficients: dict  # free index -> integer coefficient
-
-
-@dataclass
-class LinearDependencyReport:
-    constant_components: dict  # index -> constant value
-    relations: list
-    free_indices: list
-
-
-def fit_linear_dependencies(witness_ks) -> LinearDependencyReport:
-    """Integer affine relations satisfied by every witness vector: one per
-    non-pivot column of the echelon form of the witness differences, through
-    the pivot columns (the free indices). Pivot columns are independent, so
-    no affine relation among the free indices holds on every witness."""
-    if len(witness_ks) < 2:
-        raise InsufficientWitnesses("need at least two witnesses")
-    s = len(witness_ks[0])
-    base = witness_ks[0]
-    constant = {
-        i: base[i]
-        for i in range(s)
-        if all(k[i] == base[i] for k in witness_ks)
-    }
-    varying = [i for i in range(s) if i not in constant]
-    diff_rows = [
-        [Fraction(k[i] - base[i]) for i in varying] for k in witness_ks[1:]
-    ]
-    kernel = linalg.nullspace_rational(diff_rows) if varying else []
-    # a kernel vector read off the reduced echelon form is 1 at its own free
-    # column, its last nonzero entry, and 0 at every other free column; times
-    # its common denominator it is a primitive integer vector, and its free
-    # column is the one component the relation expresses through the others
-    kernel_int = []
-    for vec in kernel:
-        den = lcm(*(c.denominator for c in vec))
-        iv = [int(c * den) for c in vec]
-        kernel_int.append((iv, max(i for i, c in enumerate(iv) if c)))
-    used_pivots = {piv for _, piv in kernel_int}
-    free_local = [i for i in range(len(varying)) if i not in used_pivots]
-    relations = []
-    for iv, piv in kernel_int:
-        # relation sum_i iv[i] * (k[varying[i]] - base[varying[i]]) = 0 with
-        # iv[piv] = den > 0, so k_piv = (a0 + sum coeff_v * k_v) / iv[piv]
-        coeffs = {}
-        a0 = iv[piv] * base[varying[piv]]
-        for i in free_local:
-            if iv[i]:
-                coeffs[varying[i]] = -iv[i]
-                a0 += iv[i] * base[varying[i]]
-        rel = LinearRelation(
-            dependent_index=varying[piv],
-            denominator=iv[piv],
-            a0=a0,
-            coefficients=coeffs,
-        )
-        for k in witness_ks:
-            lhs = rel.a0 + sum(c * k[v] for v, c in rel.coefficients.items())
-            if lhs != rel.denominator * k[rel.dependent_index]:
-                raise InvariantViolated("a fitted relation fails on a witness")
-        relations.append(rel)
-    free = [varying[i] for i in free_local]
-    return LinearDependencyReport(constant, relations, free)
-
-
 def fit_affine_lattice(hits):
-    """Exact integer (A, b) with h = k A + b for every hit, or None."""
+    """The integer (A, b) with h = k A + b for every hit, or None when no
+    such lattice exists or the rows [k | 1] leave it ambiguous (column rank
+    below s + 1, as for a single hit or collinear k)."""
     if not hits:
         return None
     s = len(hits[0].k)
     r = len(hits[0].h)
     rows = [[Fraction(x) for x in hit.k] + [Fraction(1)] for hit in hits]
+    if linalg.rank(rows, Fraction(0)) != s + 1:
+        return None
     a_cols = []
     for v in range(r):
         rhs = [Fraction(hit.h[v]) for hit in hits]
@@ -267,11 +193,7 @@ def fit_affine_lattice(hits):
         a_cols.append([int(x) for x in sol])
     a_mat = tuple(tuple(a_cols[v][i] for v in range(r)) for i in range(s))
     b_vec = tuple(a_cols[v][s] for v in range(r))
-    lattice = ShiftedSublattice(a_mat, b_vec)
-    for hit in hits:
-        if lattice.apply(hit.k) != hit.h:
-            return None
-    return lattice
+    return ShiftedSublattice(a_mat, b_vec)
 
 
 def _witness_progression(witness_ks):
@@ -321,17 +243,6 @@ def _match_exponential_parts(h_red, g_red, witnesses):
     return matches
 
 
-def _h_term_embedding_index(problem, h_base, sc):
-    """Recover which embedding a (possibly reduced) H term came from."""
-    sys = problem.unit_system
-    for i in range(problem.field.degree):
-        if all(
-            sc.embed(eps, i) == b for eps, b in zip(sys.fundamental_units, h_base)
-        ):
-            return i
-    return None
-
-
 def detect_exception(
     problem: NormFormProblem,
     component: int,
@@ -368,7 +279,7 @@ def detect_exception(
             hits, config.k_box, config.h_box, notes=[note]
         )
 
-    if len(hits) < config.structure_threshold:
+    if not hits or len(hits) < config.structure_threshold:
         return FinitenessReport(hits, config.k_box, config.h_box)
     # work with the majority component recurrence
     counts = {}
@@ -379,19 +290,7 @@ def detect_exception(
     if len(witnesses) < config.structure_threshold:
         return demote("witness-selection", "no single recurrence has enough hits")
     cr = component_recurrences[main_idx]
-    ks = [w.k for w in witnesses]
-    try:
-        dep = fit_linear_dependencies(ks)
-    except InsufficientWitnesses as exc:
-        return demote("linear-dependency-fit", str(exc))
-    if any(rel.denominator > 1 for rel in dep.relations):
-        # fractional exponents would need radicals adjoined to the field, and
-        # a lifted unit system cannot be computed automatically; report honestly
-        return demote(
-            "lift-construction",
-            "fractional exponents require a lifted unit system (not available)",
-        )
-    prog = _witness_progression(ks)
+    prog = _witness_progression([w.k for w in witnesses])
     g_amb = _coerce_recurrence(recurrence, problem, sc)
     try:
         g_red, g0_i = mr_reduce(g_amb, prog)
@@ -402,59 +301,20 @@ def detect_exception(
     matches = _match_exponential_parts(h_red, g_red, witnesses)
     if matches is None:
         return demote("exponential-pairing", "no perfect matching of exponential parts")
-    # every matched G base must be a unit (quotient test between witnesses)
-    w0 = witnesses[0]
-    for _, j in matches:
-        g_base = g_red.terms[j][1]
-        for w in witnesses[1:2]:
-            quotient = _term_power(g_base, w.k) / _term_power(g_base, w0.k)
-            if not (is_algebraic_integer(quotient) and abs(norm(quotient)) == 1):
-                return demote("unit-quotient-test", "matched base is not a unit")
-    # assemble A from unit decompositions of the pulled-back bases
-    sys = problem.unit_system
-    r = sys.rank
-    s = g_amb.vars
-    lattice = None
-    torsion_orders = [[1] for _ in range(s)]
+    sublattice = fit_affine_lattice(witnesses)
+    if sublattice is None:
+        return demote("lattice-fit", "the witnesses fix no unique integer lattice")
+    # each matched G base is a root of unity times the H bases raised to its
+    # row of A; refine the progression so every such torsion factor is 1
+    steps = list(prog.steps)
     for i, j in matches:
-        h_base = h_red.terms[i][1]
-        emb_idx = _h_term_embedding_index(problem, h_base, sc)
-        if emb_idx is None:
-            return demote("embedding-recovery", "reduced H term matches no embedding")
-        g_base = g_red.terms[j][1]
-        rows = []
-        for nu in range(s):
-            try:
-                beta = sc.preimage(g_base[nu], emb_idx)
-            except ValueError:
-                return demote("base-pullback", "G base has no preimage in K")
-            try:
-                dec = unit_decompose(beta, sys)
-            except (NotAUnit, DecompositionFailed) as exc:
-                return demote("unit-decomposition", str(exc))
-            rows.append(tuple(dec.exponents))
-            order = is_root_of_unity(dec.zeta)
-            torsion_orders[nu].append(order or 1)
-        a_mat = tuple(rows)
-        if lattice is None:
-            lattice = a_mat
-        elif lattice != a_mat:
-            return demote("lattice-consistency", "A differs across pairing indices")
-    a_mat = lattice
-    k_hat, h_hat = witnesses[0].k, witnesses[0].h
-    b_vec = tuple(
-        h_hat[v] - sum(k_hat[i] * a_mat[i][v] for i in range(s)) for v in range(r)
-    )
-    sublattice = ShiftedSublattice(a_mat, b_vec)
-    for w in witnesses:
-        if sublattice.apply(w.k) != w.h:
-            return demote("lattice-fit", "decomposed lattice misses a witness")
-    fitted = fit_affine_lattice(witnesses)
-    # refine the progression so every torsion factor is trivial along it
-    steps = tuple(
-        lcm(prog.steps[nu], *torsion_orders[nu]) for nu in range(s)
-    )
-    prog_refined = MultiProgression(k_hat, steps)
+        h_base, g_base = h_red.terms[i][1], g_red.terms[j][1]
+        for nu, row in enumerate(sublattice.a_matrix):
+            order = is_root_of_unity(g_base[nu] / _term_power(h_base, row))
+            if order is None:
+                return demote("unit-quotient-test", "G base over H bases^A is no root of unity")
+            steps[nu] = lcm(steps[nu], order)
+    prog_refined = MultiProgression(witnesses[0].k, tuple(steps))
     # assemble G0 = G0^(I) + G0^(II) - H0|_sharp
     g_star = h_red.restrict_sublattice(sublattice)
     g0_ii = g_red - g_star
@@ -474,7 +334,6 @@ def detect_exception(
     verification["certificate-identity"] = ok_diff
     if not ok_diff:
         return demote("certificate-identity", "G != H|_sharp + G0 symbolically")
-    verification["fitted-lattice-agrees"] = fitted is None or fitted == sublattice
     cert = ExceptionCertificate(
         component_recurrence=cr,
         lattice=sublattice,

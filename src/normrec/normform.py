@@ -93,12 +93,6 @@ class NormFormProblem:
             acc += val
         return acc
 
-    def linear_form(self, x) -> NumberFieldElement:
-        acc = self.field.zero()
-        for xi, a in zip(x, self.alphas):
-            acc = acc + a * Fraction(xi)
-        return acc
-
 
 def solve_bruteforce(problem: NormFormProblem, box: int):
     """All x in Z^n with |x_i| <= box and N(x . alpha) = m, lex sorted.
@@ -181,7 +175,6 @@ def _solve_quadratic(coeff, n, box):
 class RepresentativeSet:
     representatives: list
     coeff_bound: int
-    box_limited: bool = True
 
 
 def _is_associate(a: NumberFieldElement, b: NumberFieldElement) -> bool:

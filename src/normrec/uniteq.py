@@ -29,7 +29,6 @@ class GroupSpec:
 
     n: int
     generators: list  # vectors of n nonzero field elements
-    rank_claimed: int = None
 
     def __post_init__(self):
         for g in self.generators:
@@ -38,8 +37,6 @@ class GroupSpec:
             for entry in g:
                 if entry.is_zero():
                     raise ValueError("generator entries must be nonzero")
-        if self.rank_claimed is None:
-            self.rank_claimed = len(self.generators)
 
 
 @dataclass

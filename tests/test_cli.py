@@ -113,6 +113,21 @@ def test_intersect_finite(tmp_path, capsys):
     assert out["hits"] == [{"x": "1", "k": [0], "h": [0]}]
 
 
+@pytest.mark.parametrize("threshold", [0, 1])
+def test_intersect_without_hits_any_threshold(tmp_path, capsys, threshold):
+    doc = dict(
+        PELL_FILE,
+        recurrence={"vars": 1, "terms": [{"coeff": 2, "base": [7]}]},
+        search={"k_box": 5, "h_box": 5, "structure_threshold": threshold},
+    )
+    p = tmp_path / "pow7.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, ["intersect", str(p)])
+    assert code == 0
+    assert out["classification"] == "finite-within-box"
+    assert out["hits"] == [] and out["notes"] == []
+
+
 def test_intersect_hypothesis_violation(tmp_path, capsys):
     doc = dict(
         PELL_FILE,
@@ -190,6 +205,27 @@ def test_uniteq(tmp_path, capsys):
     assert len(out["solutions"]) == 1
     assert out["solutions"][0]["y"] == [["1/2"], ["1/2"]]
     assert out["solutions"][0]["degenerate"] is False
+
+
+@pytest.mark.parametrize(
+    "search, extra, bound, count",
+    [
+        ({"expo_bound": 0}, ["--expo-bound", "3"], 3, 1),
+        ({"expo_bound": 3}, ["--expo-bound", "0"], 0, 0),
+        ({"expo_bound": 0}, [], 0, 0),
+        ({}, ["--expo-bound", "2"], 2, 1),
+        ({}, [], 3, 1),
+    ],
+    ids=["flag-over-file", "flag-zero-over-file", "file", "flag", "default"],
+)
+def test_uniteq_bound_precedence(tmp_path, capsys, search, extra, bound, count):
+    """An explicit --expo-bound wins, then the file's search.expo_bound, then 3."""
+    doc = {"field": [0, 1], "a": [1, 1], "generators": [[2, 2]], "search": search}
+    p = tmp_path / "ueq.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, ["uniteq", str(p), *extra])
+    assert code == 0
+    assert out["expo_bound"] == bound and len(out["solutions"]) == count
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,15 @@
-"""Coincidence detection, dependency fitting, certificates, reports."""
+"""Coincidence detection, lattice fitting, certificates, reports."""
 
 import dataclasses
 from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from normrec import intersect, linalg
-from normrec.errors import InsufficientWitnesses, InvariantViolated, NonSimpleUnsupported
+from normrec import intersect
+from normrec.errors import InvariantViolated, NonSimpleUnsupported
 from normrec.intersect import (
     ExceptionCertificate,
     FinitenessReport,
@@ -18,7 +19,6 @@ from normrec.intersect import (
     detect_reduced_exception,
     find_coincidences,
     fit_affine_lattice,
-    fit_linear_dependencies,
     result_document,
     sample_verify,
 )
@@ -173,81 +173,6 @@ def test_find_coincidences_checks_h_at_hits(pell_eps0, K2):
         find_coincidences(pell_eps0, 1, g, 3, 12, component_recurrences=[off_by_one])
 
 
-def test_fit_linear_dependencies_proportional():
-    rep = fit_linear_dependencies([(1, 2), (2, 4), (3, 6)])
-    assert rep.constant_components == {}
-    assert rep.free_indices == [0]
-    assert len(rep.relations) == 1
-    rel = rep.relations[0]
-    assert rel.dependent_index == 1 and rel.denominator == 1
-    assert rel.a0 == 0 and rel.coefficients == {0: 2}
-
-
-def test_fit_linear_dependencies_constant():
-    rep = fit_linear_dependencies([(0, 5), (1, 5), (7, 5)])
-    assert rep.constant_components == {1: 5}
-    assert rep.free_indices == [0]
-    assert rep.relations == []
-
-
-def test_fit_linear_dependencies_affine():
-    rep = fit_linear_dependencies([(1, 1), (2, 3), (3, 5)])
-    rel = rep.relations[0]
-    # k2 = 2 k1 - 1
-    assert rel.dependent_index == 1
-    assert rel.denominator == 1 and rel.a0 == -1 and rel.coefficients == {0: 2}
-
-
-def test_fit_linear_dependencies_needs_witnesses():
-    with pytest.raises(InsufficientWitnesses):
-        fit_linear_dependencies([(1, 2)])
-
-
-@st.composite
-def witness_sets(draw):
-    """Integer witnesses in s <= 4 components, each constant, free, or an
-    integer affine combination of the free components before it."""
-    s = draw(st.integers(1, 4))
-    n = draw(st.integers(2, 8))
-    small = st.integers(-20, 20)
-    columns = []
-    free_cols = []
-    for _ in range(s):
-        kind = draw(st.sampled_from(["constant", "free", "relation"]))
-        if kind == "constant":
-            columns.append([draw(small)] * n)
-        elif kind == "free" or not free_cols:
-            columns.append([draw(small) for _ in range(n)])
-            free_cols.append(columns[-1])
-        else:
-            a0 = draw(small)
-            coeffs = [draw(st.integers(-3, 3)) for _ in free_cols]
-            columns.append(
-                [a0 + sum(c * col[w] for c, col in zip(coeffs, free_cols)) for w in range(n)]
-            )
-    return [tuple(col[w] for col in columns) for w in range(n)]
-
-
-@settings(max_examples=200, deadline=None)
-@given(witness_sets())
-def test_fit_linear_dependencies_relations_hold_and_free_indices_are_independent(ks):
-    rep = fit_linear_dependencies(ks)
-    s = len(ks[0])
-    for i, value in rep.constant_components.items():
-        assert all(k[i] == value for k in ks)
-    dependent = [rel.dependent_index for rel in rep.relations]
-    indices = list(rep.constant_components) + dependent + rep.free_indices
-    assert sorted(indices) == list(range(s))
-    for rel in rep.relations:
-        assert set(rel.coefficients) <= set(rep.free_indices)
-        for k in ks:
-            lhs = rel.a0 + sum(c * k[v] for v, c in rel.coefficients.items())
-            assert lhs == rel.denominator * k[rel.dependent_index]
-    # no affine relation at all, bounded or not, among the free indices
-    rows = [[Fraction(k[i]) for i in rep.free_indices] + [Fraction(1)] for k in ks]
-    assert linalg.rank(rows, Fraction(0)) == len(rep.free_indices) + 1
-
-
 def _hit(k, h):
     return Hit(x_value=0, k=k, h=h, recurrence_index=0, full_vector=())
 
@@ -264,6 +189,44 @@ def test_fit_affine_lattice_constant():
 
 def test_fit_affine_lattice_inconsistent():
     assert fit_affine_lattice([_hit((0,), (0,)), _hit((1,), (1,)), _hit((2,), (3,))]) is None
+
+
+@st.composite
+def planted_lattices(draw):
+    """A planted integer (A, b) with s <= 3 and r <= 2, and witnesses
+    h = k A + b whose k are random, one point, or on one affine line."""
+    s = draw(st.integers(1, 3))
+    r = draw(st.integers(1, 2))
+    small = st.integers(-6, 6)
+    a_mat = tuple(tuple(draw(small) for _ in range(r)) for _ in range(s))
+    b_vec = tuple(draw(small) for _ in range(r))
+    shape = draw(st.sampled_from(["random", "single", "collinear"]))
+    if shape == "single":
+        ks = [tuple(draw(small) for _ in range(s))]
+    elif shape == "collinear":
+        start = [draw(small) for _ in range(s)]
+        direction = [draw(small) for _ in range(s)]
+        ts = draw(st.lists(small, min_size=2, max_size=6))
+        ks = [tuple(x + t * d for x, d in zip(start, direction)) for t in ts]
+    else:
+        ks = draw(st.lists(st.tuples(*[small] * s), min_size=2, max_size=8))
+    lattice = ShiftedSublattice(a_mat, b_vec)
+    return lattice, shape, [_hit(k, lattice.apply(k)) for k in ks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_lattices())
+def test_fit_affine_lattice_recovers_planted_lattice(case):
+    lattice, shape, hits = case
+    s = len(lattice.a_matrix)
+    full_rank = sympy.Matrix([list(hit.k) + [1] for hit in hits]).rank() == s + 1
+    fitted = fit_affine_lattice(hits)
+    if full_rank:
+        assert fitted == lattice
+    else:
+        assert fitted is None
+    if shape == "single" or (shape == "collinear" and s >= 2):
+        assert not full_rank
 
 
 def test_detect_exception_constructed(pell_eps0, K2):
@@ -295,6 +258,47 @@ def test_detect_exception_perturbed(pell_eps0, K2):
     assert res.progression.offsets == (0,) and res.progression.steps == (2,)
     ok, _ = sample_verify(pell_eps0, g, res, 30)
     assert ok
+
+
+def test_detect_exception_refines_progression_by_torsion(pell_eps0, K2):
+    """G(k1, k2) = x-coordinate of (-eps)^(k1 + k2), eps = 3 + 2 sqrt 2:
+    the G bases are -1 times the H bases, so the witness progression (steps
+    1) must be refined to even k1 and k2 before the identity holds."""
+    eps = K2.element([Fraction(3), Fraction(2)])
+    eps_c = K2.element([Fraction(3), Fraction(-2)])
+    half = K2.from_rational(Fraction(1, 2))
+    g = MultiRecurrence(K2, 2, [(half, (-eps, -eps)), (half, (-eps_c, -eps_c))])
+    res = detect_exception(pell_eps0, 1, g, IntersectConfig(k_box=6, h_box=14))
+    assert isinstance(res, ExceptionCertificate)
+    assert res.lattice.a_matrix == ((1,), (1,)) and res.lattice.b_vector == (0,)
+    assert res.progression.offsets == (0, 0) and res.progression.steps == (2, 2)
+    assert all(res.verification.values())
+
+
+@pytest.mark.parametrize("threshold", [0, 1])
+def test_detect_exception_without_hits_reports_finite(pell_eps0, K2, threshold):
+    g = MultiRecurrence.simple(K2, 1, [(2, (7,))])
+    cfg = IntersectConfig(k_box=5, h_box=5, structure_threshold=threshold)
+    res = detect_exception(pell_eps0, 1, g, cfg)
+    assert isinstance(res, FinitenessReport)
+    assert res.classification == "finite-within-box"
+    assert res.hits == [] and res.notes == []
+
+
+def test_single_witness_demotes_at_lattice_fit(K2):
+    """One witness pairs a one-term G with a one-term H (the system's only
+    unit is -1, so H folds to (-1)^h) but fixes no lattice."""
+    problem = NormFormProblem(
+        K2, [K2.one(), K2.gen()], 1, unit_system=UnitSystem(K2, [K2.from_rational(-1)])
+    )
+    g = MultiRecurrence.simple(K2, 1, [(1, (-1,))])
+    cfg = IntersectConfig(k_box=0, h_box=3, structure_threshold=1)
+    res = detect_exception(problem, 1, g, cfg)
+    assert isinstance(res, FinitenessReport)
+    assert [(h.k, h.h) for h in res.hits] == [((0,), (0,))]
+    assert res.notes == [
+        "structure step failed: lattice-fit (the witnesses fix no unique integer lattice)"
+    ]
 
 
 def test_detect_reduced_exception(pell_eps0, K2):
