@@ -25,7 +25,6 @@ from .numberfield import (
     NumberFieldElement,
     SplittingContainer,
     char_poly,
-    conjugates,
     factor_over_field,
     field_create,
     is_algebraic_integer,

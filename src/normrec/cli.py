@@ -100,6 +100,8 @@ def _parse_recurrence(field, doc, path="recurrence"):
             raise ProblemFileError(tpath, "expected an object")
         if "base" not in t:
             raise ProblemFileError(tpath, "missing base")
+        if not isinstance(t["base"], list):
+            raise ProblemFileError(f"{tpath}.base", "expected a list")
         base = tuple(
             _parse_element(field, b, f"{tpath}.base[{j}]")
             for j, b in enumerate(t["base"])
@@ -108,12 +110,9 @@ def _parse_recurrence(field, doc, path="recurrence"):
             raise ProblemFileError(tpath, f"base has {len(base)} entries, expected {nvars}")
         raw_coeff = t.get("coeff", 1)
         if isinstance(raw_coeff, dict):
-            mono = {}
-            for j, m in enumerate(raw_coeff.get("monomials", [])):
-                exps = tuple(int(e) for e in m["exps"])
-                mono[exps] = _parse_element(
-                    field, m["value"], f"{tpath}.coeff.monomials[{j}]"
-                )
+            mono = _parse_monomials(
+                field, raw_coeff.get("monomials", []), nvars, f"{tpath}.coeff.monomials"
+            )
             coeff = MPoly(field, nvars, mono)
         else:
             coeff = MPoly.constant(
@@ -124,6 +123,21 @@ def _parse_recurrence(field, doc, path="recurrence"):
         return MultiRecurrence(field, nvars, terms)
     except (ValueError, NormrecError) as exc:
         raise ProblemFileError(path, str(exc)) from exc
+
+
+def _parse_monomials(field, raw, nvars, path):
+    if not isinstance(raw, list):
+        raise ProblemFileError(path, "expected a list")
+    mono = {}
+    for j, m in enumerate(raw):
+        if not isinstance(m, dict) or "exps" not in m or "value" not in m:
+            raise ProblemFileError(f"{path}[{j}]", "expected an object with 'exps' and 'value'")
+        exps = m["exps"]
+        if not isinstance(exps, list) or len(exps) != nvars:
+            raise ProblemFileError(f"{path}[{j}].exps", f"expected a list of {nvars} exponents")
+        exps = tuple(_nonnegative_int(e, f"{path}[{j}].exps[{i}]") for i, e in enumerate(exps))
+        mono[exps] = _parse_element(field, m["value"], f"{path}[{j}]")
+    return mono
 
 
 def _parse_problem(doc):
@@ -300,6 +314,10 @@ def cmd_smlzeros(args):
     doc = _load(args.file)
     field = _parse_field(doc)
     recurrence = _parse_recurrence(field, doc)
+    if recurrence.vars != 1:
+        raise ProblemFileError(
+            "recurrence.vars", f"zero structure needs one variable, got {recurrence.vars}"
+        )
     zs = sml_zero_structure(recurrence, args.bound)
     _emit(
         {

@@ -3,12 +3,13 @@ simple multi-recurrence, with finiteness reports or symbolically verified
 exception certificates as outcomes.
 
 The pipeline: witness collection (G(k) joined against H(h) tabulated in
-K), proportional-term reduction, pairing of exponential parts by exact
-ratio constancy, the exact fit of the shifted sublattice h = k A + b
-through the witnesses, the torsion order of each paired G base over the
-H bases raised to its row of A, and a final merge-and-cancel verification
-along the progression those orders refine. Any unverifiable step demotes
-the outcome to a report; certificates are never guessed.
+K), the exact fit of the shifted sublattice h = k A + b through the
+witnesses, proportional-term reduction of G and H, pairing of their terms
+by the quotients zeta = G base / H bases^A (zeta^delta = 1 at every witness
+difference), refinement of the progression by the orders of those zeta,
+and one symbolic decision that G0 = G - H|_sharp vanishes on it. Any
+unverifiable step demotes the outcome to a report; certificates are never
+guessed.
 """
 
 from __future__ import annotations
@@ -214,33 +215,37 @@ def _term_power(base, expo):
     return out
 
 
-def _match_exponential_parts(h_red, g_red, witnesses):
-    """Perfect matching between H_red and G_red terms whose exponential
-    parts have a constant ratio across all witnesses; None on failure."""
-    h_terms = list(h_red.terms)
-    g_terms = list(g_red.terms)
-    if len(h_terms) != len(g_terms):
+def _pair_quotients(h_red, g_red, a_matrix, deltas):
+    """For each H_red term, in order, the single unused G_red term whose
+    quotients zeta_nu = g_base[nu] / h_base^(row nu of A) satisfy
+    zeta^delta = 1 at every witness difference delta; returns the zeta of
+    each pair, or None when the term counts differ or a term has no such
+    partner or several (ambiguity means a surviving B/C relation).
+
+    With h = k A + b at every witness, zeta^delta = 1 is exactly the
+    constancy of H_base^h / G_base^k across the witnesses.
+    """
+    if len(h_red.terms) != len(g_red.terms):
         return None
-    matches = []
+    one = g_red.field.one()
     used_g = set()
-    for i, (_, h_base) in enumerate(h_terms):
+    zetas = []
+    for _, h_base in h_red.terms:
+        h_pows = [_term_power(h_base, row) for row in a_matrix]
         found = None
-        for j, (_, g_base) in enumerate(g_terms):
+        for j, (_, g_base) in enumerate(g_red.terms):
             if j in used_g:
                 continue
-            ratios = [
-                _term_power(h_base, w.h) / _term_power(g_base, w.k)
-                for w in witnesses
-            ]
-            if all(rho == ratios[0] for rho in ratios[1:]):
+            zeta = [g / hp for g, hp in zip(g_base, h_pows)]
+            if all(_term_power(zeta, delta) == one for delta in deltas):
                 if found is not None:
-                    return None  # ambiguity means a surviving B/C relation
-                found = j
+                    return None
+                found = j, zeta
         if found is None:
             return None
-        used_g.add(found)
-        matches.append((i, found))
-    return matches
+        used_g.add(found[0])
+        zetas.append(found[1])
+    return zetas
 
 
 def detect_exception(
@@ -290,50 +295,34 @@ def detect_exception(
     if len(witnesses) < config.structure_threshold:
         return demote("witness-selection", "no single recurrence has enough hits")
     cr = component_recurrences[main_idx]
-    prog = _witness_progression([w.k for w in witnesses])
-    g_amb = _coerce_recurrence(recurrence, problem, sc)
-    try:
-        g_red, g0_i = mr_reduce(g_amb, prog)
-    except NonSimpleUnsupported as exc:
-        return demote("reduction", str(exc))
-    prog_h = _witness_progression([w.h for w in witnesses])
-    h_red, h0 = mr_reduce(cr.recurrence, prog_h)
-    matches = _match_exponential_parts(h_red, g_red, witnesses)
-    if matches is None:
-        return demote("exponential-pairing", "no perfect matching of exponential parts")
     sublattice = fit_affine_lattice(witnesses)
     if sublattice is None:
         return demote("lattice-fit", "the witnesses fix no unique integer lattice")
-    # each matched G base is a root of unity times the H bases raised to its
-    # row of A; refine the progression so every such torsion factor is 1
+    g_amb = _coerce_recurrence(recurrence, problem, sc)
+    prog = _witness_progression([w.k for w in witnesses])
+    h_red = mr_reduce(cr.recurrence, _witness_progression([w.h for w in witnesses]))
+    k0 = witnesses[0].k
+    deltas = [tuple(x - y for x, y in zip(w.k, k0)) for w in witnesses[1:]]
+    zetas = _pair_quotients(h_red, mr_reduce(g_amb, prog), sublattice.a_matrix, deltas)
+    if zetas is None:
+        return demote("exponential-pairing", "no perfect matching of exponential parts")
+    # each paired G base is zeta times the H bases raised to its row of A;
+    # refine the progression so every zeta is 1 on it. The differences span
+    # a rank-s lattice on which every zeta^delta = 1, so each zeta is a root
+    # of unity
     steps = list(prog.steps)
-    for i, j in matches:
-        h_base, g_base = h_red.terms[i][1], g_red.terms[j][1]
-        for nu, row in enumerate(sublattice.a_matrix):
-            order = is_root_of_unity(g_base[nu] / _term_power(h_base, row))
+    for zeta in zetas:
+        for nu, z in enumerate(zeta):
+            order = is_root_of_unity(z)
             if order is None:
-                return demote("unit-quotient-test", "G base over H bases^A is no root of unity")
+                raise InvariantViolated("paired G base over H bases^A is no root of unity")
             steps[nu] = lcm(steps[nu], order)
-    prog_refined = MultiProgression(witnesses[0].k, tuple(steps))
-    # assemble G0 = G0^(I) + G0^(II) - H0|_sharp
-    g_star = h_red.restrict_sublattice(sublattice)
-    g0_ii = g_red - g_star
-    h0_sharp = h0.restrict_sublattice(sublattice)
-    g0 = g0_i + g0_ii - h0_sharp
-    verification = {}
-    ok_ii, _ = is_zero_on_progression(g0_ii, prog_refined)
-    verification["reduced-terms-match-on-progression"] = ok_ii
-    if not ok_ii:
-        return demote("progression-identity", "H_red|_sharp differs from G_red")
-    ok_g0, _ = is_zero_on_progression(g0, prog_refined)
-    verification["g0-vanishes-on-progression"] = ok_g0
+    prog_refined = MultiProgression(k0, tuple(steps))
+    g0 = g_amb - cr.recurrence.restrict_sublattice(sublattice)
+    ok_g0 = is_zero_on_progression(g0, prog_refined)
+    verification = {"g0-vanishes-on-progression": ok_g0}
     if not ok_g0:
         return demote("g0-vanishing", "G0 does not vanish identically on progression")
-    difference = g_amb - g_star - g0_i - g0_ii
-    ok_diff, _ = is_zero_on_progression(difference, prog_refined)
-    verification["certificate-identity"] = ok_diff
-    if not ok_diff:
-        return demote("certificate-identity", "G != H|_sharp + G0 symbolically")
     cert = ExceptionCertificate(
         component_recurrence=cr,
         lattice=sublattice,
@@ -366,19 +355,16 @@ def detect_reduced_exception(
     if isinstance(result, FinitenessReport):
         return result
     cert = result
-    sc = problem.splitting()
-    g_amb = _coerce_recurrence(recurrence, problem, sc)
-    g_sharp = cert.component_recurrence.recurrence.restrict_sublattice(cert.lattice)
-    difference = g_amb - g_sharp
     if cert.g0.is_zero():
         prog = cert.progression
     else:
+        # G - H|_sharp = G0 vanishes on each progression the zero structure
+        # certifies, so also on its intersection with the certificate's
         zs = sml_zero_structure(cert.g0, config.sml_bound)
         prog = None
         for c0, d0 in zs.progressions:
-            combined = _combine_progressions(cert.progression, c0, d0)
-            if combined is not None:
-                prog = combined
+            prog = _combine_progressions(cert.progression, c0, d0)
+            if prog is not None:
                 break
         if prog is None:
             return FinitenessReport(
@@ -387,19 +373,11 @@ def detect_reduced_exception(
                 config.h_box,
                 notes=["structure step failed: g0-refinement (no compatible progression)"],
             )
-    ok, _ = is_zero_on_progression(difference, prog)
-    if not ok:
-        return FinitenessReport(
-            cert.witnesses,
-            config.k_box,
-            config.h_box,
-            notes=["structure step failed: reduced-verification"],
-        )
     reduced = ExceptionCertificate(
         component_recurrence=cert.component_recurrence,
         lattice=cert.lattice,
         progression=prog,
-        g0=MultiRecurrence(g_amb.field, 1, []),
+        g0=MultiRecurrence(cert.g0.field, 1, []),
         reduced=True,
         witnesses=cert.witnesses,
         verification=dict(cert.verification),

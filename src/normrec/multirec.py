@@ -163,12 +163,6 @@ class MultiProgression:
     def point(self, n):
         return tuple(c + d * ni for c, d, ni in zip(self.offsets, self.steps, n))
 
-    def contains(self, k):
-        return all(
-            (ki - c) % d == 0 and (ki - c) // d >= 0
-            for ki, c, d in zip(k, self.offsets, self.steps)
-        )
-
 
 class MultiRecurrence:
     """Finite sum of terms (P_j, base_j); merged and canonically ordered."""
@@ -290,41 +284,32 @@ class MultiRecurrence:
         return self.restrict_sublattice(ShiftedSublattice(a_mat, prog.offsets))
 
 
-@dataclass
-class ZeroCertificate:
-    holds: bool
-    merged_groups: list  # (base, merged coefficient) after restriction
-
-
-def is_zero_on_progression(recurrence: MultiRecurrence, prog: MultiProgression):
+def is_zero_on_progression(recurrence: MultiRecurrence, prog: MultiProgression) -> bool:
     """Complete decision of identical vanishing on the progression, for
-    simple recurrences. Returns (bool, ZeroCertificate)."""
+    simple recurrences."""
     if not recurrence.is_simple():
         raise NonSimpleUnsupported(
             "zero decision requires constant coefficient polynomials"
         )
-    restricted = recurrence.restrict_progression(prog)
-    groups = [(b, c.constant_value()) for c, b in restricted.terms]
-    return restricted.is_zero(), ZeroCertificate(restricted.is_zero(), groups)
+    return recurrence.restrict_progression(prog).is_zero()
 
 
-def mr_reduce(recurrence: MultiRecurrence, prog: MultiProgression):
+def mr_reduce(recurrence: MultiRecurrence, prog: MultiProgression) -> MultiRecurrence:
     """Fold terms whose bases are proportional along the progression.
 
-    Returns (reduced, identically_vanishing) with
-    recurrence = reduced + identically_vanishing everywhere, and the second
-    part vanishing identically on the progression.
+    A term whose base is rho times an earlier kept base, with
+    prod_i rho_i^{d_i} = 1 over the steps d, joins that term's coefficient
+    scaled by rho at the offsets. For s = 1 the result equals the input on
+    the progression.
     """
     if not recurrence.is_simple():
         raise NonSimpleUnsupported("reduction requires a simple recurrence")
     if prog.s != recurrence.vars:
         raise ShapeMismatch("progression dimension mismatch")
     reps = []  # (base, accumulated coeff)
-    vanish_terms = []
     for coeff, base in recurrence.terms:
         c_val = coeff.constant_value()
-        folded = False
-        for idx, (rep_base, _) in enumerate(reps):
+        for idx, (rep_base, rep_c) in enumerate(reps):
             ratio = [bj / bi for bj, bi in zip(base, rep_base)]
             along = recurrence.field.one()
             for rho, d in zip(ratio, prog.steps):
@@ -333,27 +318,18 @@ def mr_reduce(recurrence: MultiRecurrence, prog: MultiProgression):
                 at_offset = recurrence.field.one()
                 for rho, c in zip(ratio, prog.offsets):
                     at_offset = at_offset * rho**c
-                reps[idx] = (rep_base, reps[idx][1] + c_val * at_offset)
-                vanish_terms.append((c_val, base))
-                vanish_terms.append((-(c_val * at_offset), rep_base))
-                folded = True
+                reps[idx] = (rep_base, rep_c + c_val * at_offset)
                 break
-        if not folded:
+        else:
             reps.append((base, c_val))
-    reduced = MultiRecurrence(
-        recurrence.field, recurrence.vars, [(c, b) for b, c in reps]
-    )
-    vanishing = MultiRecurrence(recurrence.field, recurrence.vars, vanish_terms)
-    return reduced, vanishing
+    return MultiRecurrence(recurrence.field, recurrence.vars, [(c, b) for b, c in reps])
 
 
 @dataclass
 class ZeroStructure:
     sporadic: list  # zeros not covered by a certified progression
-    progressions: list  # list of (offset, step) with symbolic certificates
-    certificates: dict  # (offset, step) -> ZeroCertificate
+    progressions: list  # (offset, step) pairs, each decided symbolically
     search_bound: int
-    complete_within_bound: bool = True
 
 
 def sml_zero_structure(
@@ -387,16 +363,12 @@ def sml_zero_structure(
                 orders.append(n)
     d_max = min(lcm(*orders) if orders else 1, period_cap)
     certified = []
-    certificates = {}
     for d in range(1, d_max + 1):
         for c in range(d):
             if any(d % d0 == 0 and (c - c0) % d0 == 0 for c0, d0 in certified):
                 continue  # already implied by a coarser certified progression
-            prog = MultiProgression((c,), (d,))
-            holds, cert = is_zero_on_progression(recurrence, prog)
-            if holds:
+            if is_zero_on_progression(recurrence, MultiProgression((c,), (d,))):
                 certified.append((c, d))
-                certificates[(c, d)] = cert
     covered = {
         k
         for k in zeros
@@ -406,6 +378,5 @@ def sml_zero_structure(
     return ZeroStructure(
         sporadic=sporadic,
         progressions=certified,
-        certificates=certificates,
         search_bound=search_bound,
     )

@@ -712,8 +712,3 @@ def splitting_container(field: NumberField, max_degree: int = 24) -> SplittingCo
         roots_sorted.remove(ident)
         roots_sorted = [ident] + roots_sorted
     return SplittingContainer(field, ambient, roots_sorted)
-
-
-def conjugates(a: NumberFieldElement, sc: SplittingContainer):
-    """All embeddings sigma_1(a), ..., sigma_d(a) in the ambient field."""
-    return sc.conjugates(a)

@@ -24,6 +24,17 @@ PELL_FILE = {
 }
 
 
+# (id, one recurrence term, the path its input error names)
+MALFORMED_TERMS = [
+    ("monomial-without-exps", {"coeff": {"monomials": [{"value": 1}]}, "base": [2]},
+     "recurrence.terms[0].coeff.monomials[0]"),
+    ("exps-not-integers", {"coeff": {"monomials": [{"exps": ["x"], "value": 1}]}, "base": [2]},
+     "recurrence.terms[0].coeff.monomials[0].exps[0]"),
+    ("monomials-not-a-list", {"coeff": {"monomials": 5}, "base": [2]},
+     "recurrence.terms[0].coeff.monomials"),
+    ("base-not-a-list", {"coeff": 1, "base": 5}, "recurrence.terms[0].base"),
+]
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -191,6 +202,21 @@ def test_smlzeros_nonsimple_exit3(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "recurrence, path",
+    [({"vars": 1, "terms": [term]}, path) for _, term, path in MALFORMED_TERMS]
+    + [({"vars": 2, "terms": [{"coeff": 1, "base": [2, 3]}]}, "recurrence.vars")],
+    ids=[name for name, _, _ in MALFORMED_TERMS] + ["two-variables"],
+)
+def test_smlzeros_input_errors_name_their_path(tmp_path, capsys, recurrence, path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"field": [0, 1], "recurrence": recurrence}))
+    assert main(["smlzeros", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}: ")
+
+
 def test_uniteq(tmp_path, capsys):
     doc = {
         "field": [0, 1],
@@ -276,9 +302,11 @@ def test_output_deterministic(pell_file, capsys):
         {"search": {"k_box": -1, "h_box": 30}},
         {"search": {"k_box": 10, "h_box": -1}},
         {"search": 5},
-    ],
+    ]
+    + [{"recurrence": {"vars": 1, "terms": [term]}} for _, term, _ in MALFORMED_TERMS],
     ids=["component-out-of-range", "component-string", "term-not-object",
-         "negative-k-box", "negative-h-box", "search-not-object"],
+         "negative-k-box", "negative-h-box", "search-not-object"]
+    + [name for name, _, _ in MALFORMED_TERMS],
 )
 def test_intersect_input_errors_exit_2(tmp_path, capsys, change):
     p = tmp_path / "bad.json"

@@ -275,6 +275,15 @@ def test_detect_exception_refines_progression_by_torsion(pell_eps0, K2):
     assert all(res.verification.values())
 
 
+def test_torsion_quotient_without_order_is_a_fault(pell_eps0, K2, monkeypatch):
+    """After a full-rank fit and the pairing every quotient zeta is a root of
+    unity, so an order of None is an arithmetic fault, not a demotion."""
+    monkeypatch.setattr(intersect, "is_root_of_unity", lambda z: None)
+    cfg = IntersectConfig(k_box=6, h_box=14)
+    with pytest.raises(InvariantViolated):
+        detect_exception(pell_eps0, 1, odd_power_recurrence(K2), cfg)
+
+
 @pytest.mark.parametrize("threshold", [0, 1])
 def test_detect_exception_without_hits_reports_finite(pell_eps0, K2, threshold):
     g = MultiRecurrence.simple(K2, 1, [(2, (7,))])
@@ -285,20 +294,26 @@ def test_detect_exception_without_hits_reports_finite(pell_eps0, K2, threshold):
     assert res.hits == [] and res.notes == []
 
 
-def test_single_witness_demotes_at_lattice_fit(K2):
-    """One witness pairs a one-term G with a one-term H (the system's only
-    unit is -1, so H folds to (-1)^h) but fixes no lattice."""
-    problem = NormFormProblem(
+def test_single_witness_demotes_at_lattice_fit(K2, pell_eps0):
+    """One witness fixes no lattice, so detection demotes at the fit, before
+    any pairing: for a one-term G against a one-term H (the system's only
+    unit is -1, so H folds to (-1)^h), and for the single hit k = 0 of
+    G = 2^k against the two-term Pell H (tests/data/pell_pow2.json at
+    threshold 1)."""
+    minus_one = NormFormProblem(
         K2, [K2.one(), K2.gen()], 1, unit_system=UnitSystem(K2, [K2.from_rational(-1)])
     )
-    g = MultiRecurrence.simple(K2, 1, [(1, (-1,))])
-    cfg = IntersectConfig(k_box=0, h_box=3, structure_threshold=1)
-    res = detect_exception(problem, 1, g, cfg)
-    assert isinstance(res, FinitenessReport)
-    assert [(h.k, h.h) for h in res.hits] == [((0,), (0,))]
-    assert res.notes == [
-        "structure step failed: lattice-fit (the witnesses fix no unique integer lattice)"
+    cases = [
+        (minus_one, [(1, (-1,))], IntersectConfig(k_box=0, h_box=3, structure_threshold=1)),
+        (pell_eps0, [(1, (2,))], IntersectConfig(k_box=30, h_box=12, structure_threshold=1)),
     ]
+    for problem, terms, cfg in cases:
+        res = detect_exception(problem, 1, MultiRecurrence.simple(K2, 1, terms), cfg)
+        assert isinstance(res, FinitenessReport)
+        assert [(h.k, h.h) for h in res.hits] == [((0,), (0,))]
+        assert res.notes == [
+            "structure step failed: lattice-fit (the witnesses fix no unique integer lattice)"
+        ]
 
 
 def test_detect_reduced_exception(pell_eps0, K2):
