@@ -213,11 +213,14 @@ def _parse_config(doc):
 def _load(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ProblemFileError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"{path}:{exc.lineno}", exc.msg) from exc
+    if not isinstance(doc, dict):
+        raise ProblemFileError(path, "expected a JSON object")
+    return doc
 
 
 def _emit(doc, out=None):
@@ -318,7 +321,7 @@ def cmd_smlzeros(args):
         raise ProblemFileError(
             "recurrence.vars", f"zero structure needs one variable, got {recurrence.vars}"
         )
-    zs = sml_zero_structure(recurrence, args.bound)
+    zs = sml_zero_structure(recurrence, _nonnegative_int(args.bound, "--bound"))
     _emit(
         {
             "command": "smlzeros",
@@ -338,10 +341,15 @@ def cmd_uniteq(args):
         raise ProblemFileError("a", "need a nonempty coefficient list")
     a = [_parse_element(field, v, f"a[{i}]") for i, v in enumerate(raw_a)]
     raw_gens = doc.get("generators", [])
-    gens = [
-        [_parse_element(field, v, f"generators[{i}][{j}]") for j, v in enumerate(g)]
-        for i, g in enumerate(raw_gens)
-    ]
+    if not isinstance(raw_gens, list):
+        raise ProblemFileError("generators", "expected a list of generator vectors")
+    gens = []
+    for i, g in enumerate(raw_gens):
+        if not isinstance(g, list):
+            raise ProblemFileError(f"generators[{i}]", "expected a list of field elements")
+        gens.append(
+            [_parse_element(field, v, f"generators[{i}][{j}]") for j, v in enumerate(g)]
+        )
     try:
         grp = GroupSpec(len(a), gens)
     except ValueError as exc:

@@ -7,9 +7,11 @@ K), the exact fit of the shifted sublattice h = k A + b through the
 witnesses, proportional-term reduction of G and H, pairing of their terms
 by the quotients zeta = G base / H bases^A (zeta^delta = 1 at every witness
 difference), refinement of the progression by the orders of those zeta,
-and one symbolic decision that G0 = G - H|_sharp vanishes on it. Any
-unverifiable step demotes the outcome to a report; certificates are never
-guessed.
+one symbolic decision that G0 = G - H|_sharp vanishes on it, and one
+sampling of G = H|_sharp and G0 = 0 at its points. The reduced
+certificate for s = 1 is that certificate with G0 = 0, since both facts
+are already decided on its progression. Any unverifiable step demotes the
+outcome to a report; certificates are never guessed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .multirec import (
     ShiftedSublattice,
     is_zero_on_progression,
     mr_reduce,
-    sml_zero_structure,
 )
 from .normform import ComponentRecurrence, NormFormProblem, build_component_recurrences
 from .numberfield import is_algebraic_integer, is_root_of_unity, norm
@@ -41,7 +42,6 @@ class IntersectConfig:
     structure_threshold: int = 5
     rep_coeff_bound: int = 5
     sample_points: int = 50
-    sml_bound: int = 200
 
 
 @dataclass(frozen=True)
@@ -332,7 +332,7 @@ def detect_exception(
         witnesses=witnesses,
         verification=verification,
     )
-    ok_sample, detail = sample_verify(problem, recurrence, cert, config.sample_points)
+    ok_sample, detail = sample_verify(problem, g_amb, cert, config.sample_points)
     cert.verification["point-sampling"] = ok_sample
     if not ok_sample:
         return demote("point-sampling", detail)
@@ -345,71 +345,20 @@ def detect_reduced_exception(
     recurrence: MultiRecurrence,
     config: IntersectConfig = None,
 ):
-    """Detection for s = 1 with the stricter certificate shape: the lift is
-    forced trivial and G0 is refined away via the zero structure of linear
-    recurrences."""
+    """Detection for s = 1 with the stricter certificate shape G = H|_sharp
+    on the progression. detect_exception has decided that G0 vanishes on
+    its progression and sampled G = H|_sharp and G0 = 0 at its points, so
+    its certificate with G0 = 0 is the reduced one: same lattice,
+    progression and witnesses, nothing decided or sampled again."""
     if recurrence.vars != 1:
         raise NonSimpleUnsupported("reduced detection requires s = 1")
-    config = config or IntersectConfig()
-    result = detect_exception(problem, component, recurrence, config)
-    if isinstance(result, FinitenessReport):
-        return result
-    cert = result
-    if cert.g0.is_zero():
-        prog = cert.progression
-    else:
-        # G - H|_sharp = G0 vanishes on each progression the zero structure
-        # certifies, so also on its intersection with the certificate's
-        zs = sml_zero_structure(cert.g0, config.sml_bound)
-        prog = None
-        for c0, d0 in zs.progressions:
-            prog = _combine_progressions(cert.progression, c0, d0)
-            if prog is not None:
-                break
-        if prog is None:
-            return FinitenessReport(
-                cert.witnesses,
-                config.k_box,
-                config.h_box,
-                notes=["structure step failed: g0-refinement (no compatible progression)"],
-            )
-    reduced = ExceptionCertificate(
-        component_recurrence=cert.component_recurrence,
-        lattice=cert.lattice,
-        progression=prog,
-        g0=MultiRecurrence(cert.g0.field, 1, []),
-        reduced=True,
-        witnesses=cert.witnesses,
-        verification=dict(cert.verification),
-    )
-    reduced.verification["reduced-identity"] = True
-    if cert.g0.is_zero():
-        return reduced  # detect_exception sampled these very points
-    ok_sample, detail = sample_verify(
-        problem, recurrence, reduced, config.sample_points
-    )
-    reduced.verification["point-sampling"] = ok_sample
-    if not ok_sample:
-        return FinitenessReport(
-            cert.witnesses, config.k_box, config.h_box,
-            notes=[f"structure step failed: reduced-point-sampling ({detail})"],
-        )
-    return reduced
-
-
-def _combine_progressions(prog: MultiProgression, c0: int, d0: int):
-    """Intersection of a one-dimensional progression with (c0 + d0 N)."""
-    c1, d1 = prog.offsets[0], prog.steps[0]
-    # solve x = c1 mod d1, x = c0 mod d0, x >= max(c0, c1)
-    g = gcd(d1, d0)
-    if (c0 - c1) % g != 0:
-        return None
-    step = lcm(d1, d0)
-    # CRT by scanning one period (desk scale)
-    for x in range(max(c0, c1), max(c0, c1) + step):
-        if (x - c1) % d1 == 0 and (x - c0) % d0 == 0:
-            return MultiProgression((x,), (step,))
-    return None
+    cert = detect_exception(problem, component, recurrence, config)
+    if isinstance(cert, FinitenessReport):
+        return cert
+    cert.g0 = MultiRecurrence(cert.g0.field, 1, [])
+    cert.reduced = True
+    cert.verification["reduced-identity"] = True
+    return cert
 
 
 def _frac_str(q: Fraction) -> str:
@@ -487,7 +436,8 @@ def result_document(problem, recurrence, result):
 
 
 def sample_verify(problem, recurrence, cert: ExceptionCertificate, points: int = 50):
-    """Exact pointwise check G(k) = H(kA+b) + G0(k) along the progression."""
+    """Exact pointwise check of G(k) = H(kA+b) and G0(k) = 0 along the
+    progression."""
     sc = problem.splitting()
     g_amb = _coerce_recurrence(recurrence, problem, sc)
     h_rec = cert.component_recurrence.recurrence
@@ -495,8 +445,6 @@ def sample_verify(problem, recurrence, cert: ExceptionCertificate, points: int =
     for t in range(points):
         k = cert.progression.point((t,) * s)
         h = cert.lattice.apply(k)
-        lhs = g_amb.evaluate(k)
-        rhs = h_rec.evaluate(h) + cert.g0.evaluate(k)
-        if lhs != rhs:
+        if g_amb.evaluate(k) != h_rec.evaluate(h) or not cert.g0.evaluate(k).is_zero():
             return False, f"mismatch at k={k}"
     return True, ""

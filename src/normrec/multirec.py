@@ -298,24 +298,22 @@ def mr_reduce(recurrence: MultiRecurrence, prog: MultiProgression) -> MultiRecur
     """Fold terms whose bases are proportional along the progression.
 
     A term whose base is rho times an earlier kept base, with
-    prod_i rho_i^{d_i} = 1 over the steps d, joins that term's coefficient
-    scaled by rho at the offsets. For s = 1 the result equals the input on
-    the progression.
+    rho_i^{d_i} = 1 for every step d_i, joins that term's coefficient
+    scaled by rho at the offsets. The result equals the input on the
+    progression.
     """
     if not recurrence.is_simple():
         raise NonSimpleUnsupported("reduction requires a simple recurrence")
     if prog.s != recurrence.vars:
         raise ShapeMismatch("progression dimension mismatch")
+    one = recurrence.field.one()
     reps = []  # (base, accumulated coeff)
     for coeff, base in recurrence.terms:
         c_val = coeff.constant_value()
         for idx, (rep_base, rep_c) in enumerate(reps):
             ratio = [bj / bi for bj, bi in zip(base, rep_base)]
-            along = recurrence.field.one()
-            for rho, d in zip(ratio, prog.steps):
-                along = along * rho**d
-            if along == recurrence.field.one():
-                at_offset = recurrence.field.one()
+            if all(rho**d == one for rho, d in zip(ratio, prog.steps)):
+                at_offset = one
                 for rho, c in zip(ratio, prog.offsets):
                     at_offset = at_offset * rho**c
                 reps[idx] = (rep_base, rep_c + c_val * at_offset)

@@ -203,15 +203,18 @@ def test_smlzeros_nonsimple_exit3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "recurrence, path",
-    [({"vars": 1, "terms": [term]}, path) for _, term, path in MALFORMED_TERMS]
-    + [({"vars": 2, "terms": [{"coeff": 1, "base": [2, 3]}]}, "recurrence.vars")],
-    ids=[name for name, _, _ in MALFORMED_TERMS] + ["two-variables"],
+    "recurrence, extra, path",
+    [({"vars": 1, "terms": [term]}, [], path) for _, term, path in MALFORMED_TERMS]
+    + [
+        ({"vars": 2, "terms": [{"coeff": 1, "base": [2, 3]}]}, [], "recurrence.vars"),
+        ({"vars": 1, "terms": [{"coeff": 1, "base": [2]}]}, ["--bound", "-3"], "--bound"),
+    ],
+    ids=[name for name, _, _ in MALFORMED_TERMS] + ["two-variables", "negative-bound"],
 )
-def test_smlzeros_input_errors_name_their_path(tmp_path, capsys, recurrence, path):
+def test_smlzeros_input_errors_name_their_path(tmp_path, capsys, recurrence, extra, path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"field": [0, 1], "recurrence": recurrence}))
-    assert main(["smlzeros", str(p)]) == 2
+    assert main(["smlzeros", str(p), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {path}: ")
@@ -255,26 +258,40 @@ def test_uniteq_bound_precedence(tmp_path, capsys, search, extra, bound, count):
 
 
 @pytest.mark.parametrize(
-    "search, extra, path",
+    "change, extra, path",
     [
-        (5, [], "search"),
-        ({"expo_bound": "x"}, [], "search.expo_bound"),
-        ({"expo_bound": 2.7}, [], "search.expo_bound"),
-        ({"expo_bound": True}, [], "search.expo_bound"),
-        ({"expo_bound": -1}, [], "search.expo_bound"),
+        ({"search": 5}, [], "search"),
+        ({"search": {"expo_bound": "x"}}, [], "search.expo_bound"),
+        ({"search": {"expo_bound": 2.7}}, [], "search.expo_bound"),
+        ({"search": {"expo_bound": True}}, [], "search.expo_bound"),
+        ({"search": {"expo_bound": -1}}, [], "search.expo_bound"),
         ({}, ["--expo-bound", "-1"], "--expo-bound"),
+        ({"generators": 5}, [], "generators"),
+        ({"generators": [5]}, [], "generators[0]"),
     ],
     ids=["search-not-object", "bound-string", "bound-float", "bound-bool",
-         "bound-negative", "flag-negative"],
+         "bound-negative", "flag-negative", "generators-not-a-list",
+         "generator-not-a-list"],
 )
-def test_uniteq_input_errors_name_their_path(tmp_path, capsys, search, extra, path):
-    doc = {"field": [0, 1], "a": [1, 1], "generators": [[2, 2]], "search": search}
+def test_uniteq_input_errors_name_their_path(tmp_path, capsys, change, extra, path):
+    doc = dict({"field": [0, 1], "a": [1, 1], "generators": [[2, 2]]}, **change)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc))
     assert main(["uniteq", str(p), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: {path}: ")
+
+
+@pytest.mark.parametrize("command", ["intersect", "recurrences", "solve", "smlzeros", "uniteq"])
+@pytest.mark.parametrize("top", [[PELL_FILE], 5], ids=["list", "scalar"])
+def test_top_level_not_an_object_exit_2(tmp_path, capsys, command, top):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(top))
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {p}: expected a JSON object\n"
 
 
 @pytest.mark.parametrize("name", ["readme_pell", "pell_pow2", "planted_s2"])

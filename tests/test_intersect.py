@@ -22,7 +22,7 @@ from normrec.intersect import (
     result_document,
     sample_verify,
 )
-from normrec.multirec import MPoly, MultiRecurrence, ShiftedSublattice
+from normrec.multirec import MPoly, MultiProgression, MultiRecurrence, ShiftedSublattice
 from normrec.normform import NormFormProblem, build_component_recurrences
 from normrec.numberfield import field_create, norm
 from normrec.units import UnitSystem, auto_unit_system
@@ -334,7 +334,7 @@ def test_detect_reduced_exception_perturbed(pell_eps0, K2):
     assert res.progression.offsets == (0,) and res.progression.steps == (2,)
 
 
-@pytest.mark.parametrize("perturb, samplings", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("perturb, samplings", [(False, 1), (True, 1)])
 def test_detect_reduced_exception_samples_g0_free_certificate_once(
     pell_eps0, K2, monkeypatch, perturb, samplings
 ):
@@ -347,6 +347,41 @@ def test_detect_reduced_exception_samples_g0_free_certificate_once(
     res = detect_reduced_exception(pell_eps0, 1, g, IntersectConfig(k_box=14, h_box=70))
     assert res.reduced and len(calls) == samplings
     assert res.verification["point-sampling"] and res.verification["reduced-identity"]
+
+
+def test_detect_reduced_exception_reuses_the_certificate(pell_eps0, K2):
+    """The reduced certificate keeps the progression on which G0 = 0 was
+    decided, with the same lattice and witnesses."""
+    cfg = IntersectConfig(k_box=14, h_box=70)
+    g = odd_power_recurrence(K2) + parity_perturbation(K2)
+    full = detect_exception(pell_eps0, 1, g, cfg)
+    res = detect_reduced_exception(pell_eps0, 1, g, cfg)
+    assert res.progression == full.progression
+    assert res.lattice == full.lattice
+    assert res.witnesses == full.witnesses
+    assert res.verification == dict(full.verification, **{"reduced-identity": True})
+
+
+def test_sample_verify_requires_g0_to_vanish(pell_eps0, K2):
+    """With the real lattice and G0 of the perturbed plant, G = H|_sharp + G0
+    holds at every k. On the progression of all k, G0 = (-1)^k - 1 is -2 at
+    odd k, where G differs from H|_sharp, so the sampling must reject it;
+    on the even k it accepts."""
+    g = odd_power_recurrence(K2) + parity_perturbation(K2)
+    cr = build_component_recurrences(pell_eps0, 1)[0]
+    lattice = ShiftedSublattice(((2,),), (1,))
+    cert = ExceptionCertificate(
+        component_recurrence=cr,
+        lattice=lattice,
+        progression=MultiProgression((0,), (1,)),
+        g0=g - cr.recurrence.restrict_sublattice(lattice),
+        reduced=False,
+        witnesses=[],
+    )
+    ok, detail = sample_verify(pell_eps0, g, cert, 10)
+    assert not ok and detail == "mismatch at k=(1,)"
+    even = dataclasses.replace(cert, progression=MultiProgression((0,), (2,)))
+    assert sample_verify(pell_eps0, g, even, 10) == (True, "")
 
 
 def test_detect_reduced_exception_constant(pell, K2):

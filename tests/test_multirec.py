@@ -137,6 +137,16 @@ def test_mr_reduce_folds_proportional_terms(Q):
     assert not is_zero_on_progression(g - reduced, MultiProgression((1,), (2,)))
 
 
+def test_mr_reduce_folds_only_when_every_step_power_is_one(Q):
+    # the ratio (2, 1/2) of 4^k1 2^-k2 to 2^k1 has product 1 over the steps
+    # (1, 1), but the two terms are not proportional along the progression
+    g = simple(Q, 2, [(1, (2, 1)), (1, (4, Fraction(1, 2)))])
+    prog = MultiProgression((0, 0), (1, 1))
+    reduced = mr_reduce(g, prog)
+    assert reduced == g
+    assert reduced.evaluate((1, 0)).as_rational() == 6
+
+
 def test_mr_reduce_keeps_independent_terms(Q):
     g = simple(Q, 1, [(1, (2,)), (1, (3,))])
     reduced = mr_reduce(g, MultiProgression((0,), (1,)))
