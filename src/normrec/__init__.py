@@ -45,7 +45,6 @@ from .units import (
     verify_unit_system,
 )
 from .multirec import (
-    MPoly,
     MultiProgression,
     MultiRecurrence,
     ShiftedSublattice,

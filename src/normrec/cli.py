@@ -26,7 +26,7 @@ from .intersect import (
     result_document,
     _element_doc,
 )
-from .multirec import MPoly, MultiRecurrence, sml_zero_structure
+from .multirec import MultiRecurrence, sml_zero_structure
 from .normform import NormFormProblem, build_component_recurrences, solve_bruteforce
 from .numberfield import field_create
 from .uniteq import GroupSpec, ess_bound, solve_unit_equation
@@ -86,11 +86,10 @@ def _parse_recurrence(field, doc, path="recurrence"):
     raw = doc.get("recurrence")
     if raw is None:
         raise ProblemFileError(path, "missing")
-    try:
-        nvars = int(raw["vars"])
-        raw_terms = raw["terms"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProblemFileError(path, "needs integer 'vars' and a 'terms' list") from exc
+    if not isinstance(raw, dict) or "vars" not in raw or "terms" not in raw:
+        raise ProblemFileError(path, "needs integer 'vars' and a 'terms' list")
+    nvars = _positive_int(raw["vars"], f"{path}.vars")
+    raw_terms = raw["terms"]
     if not isinstance(raw_terms, list):
         raise ProblemFileError(f"{path}.terms", "expected a list")
     terms = []
@@ -110,14 +109,11 @@ def _parse_recurrence(field, doc, path="recurrence"):
             raise ProblemFileError(tpath, f"base has {len(base)} entries, expected {nvars}")
         raw_coeff = t.get("coeff", 1)
         if isinstance(raw_coeff, dict):
-            mono = _parse_monomials(
+            coeff = _parse_monomials(
                 field, raw_coeff.get("monomials", []), nvars, f"{tpath}.coeff.monomials"
             )
-            coeff = MPoly(field, nvars, mono)
         else:
-            coeff = MPoly.constant(
-                field, nvars, _parse_element(field, raw_coeff, f"{tpath}.coeff")
-            )
+            coeff = _parse_element(field, raw_coeff, f"{tpath}.coeff")
         terms.append((coeff, base))
     try:
         return MultiRecurrence(field, nvars, terms)
@@ -126,9 +122,12 @@ def _parse_recurrence(field, doc, path="recurrence"):
 
 
 def _parse_monomials(field, raw, nvars, path):
+    """The constant of a coefficient written as monomials; a nonzero
+    monomial of positive degree is a polynomial coefficient, unsupported."""
     if not isinstance(raw, list):
         raise ProblemFileError(path, "expected a list")
-    mono = {}
+    seen = set()
+    constant = field.zero()
     for j, m in enumerate(raw):
         if not isinstance(m, dict) or "exps" not in m or "value" not in m:
             raise ProblemFileError(f"{path}[{j}]", "expected an object with 'exps' and 'value'")
@@ -136,8 +135,17 @@ def _parse_monomials(field, raw, nvars, path):
         if not isinstance(exps, list) or len(exps) != nvars:
             raise ProblemFileError(f"{path}[{j}].exps", f"expected a list of {nvars} exponents")
         exps = tuple(_nonnegative_int(e, f"{path}[{j}].exps[{i}]") for i, e in enumerate(exps))
-        mono[exps] = _parse_element(field, m["value"], f"{path}[{j}]")
-    return mono
+        if exps in seen:
+            raise ProblemFileError(f"{path}[{j}].exps", f"repeats the exponents {list(exps)}")
+        seen.add(exps)
+        value = _parse_element(field, m["value"], f"{path}[{j}]")
+        if not any(exps):
+            constant = value
+        elif not value.is_zero():
+            raise NonSimpleUnsupported(
+                f"{path}[{j}]: polynomial coefficients are not supported, only constants"
+            )
+    return constant
 
 
 def _parse_problem(doc):
@@ -153,6 +161,8 @@ def _parse_problem(doc):
     m = _parse_rational(doc["m"], "m")
     if m.denominator != 1:
         raise ProblemFileError("m", "target norm must be an integer")
+    if m == 0:
+        raise ProblemFileError("m", "target norm must be nonzero")
     unit_system = None
     if doc.get("units"):
         if not isinstance(doc["units"], list):
@@ -170,11 +180,9 @@ def _parse_problem(doc):
         except NormrecError as exc:
             raise ProblemFileError("auto_units_quadratic", str(exc)) from exc
     search = _search_section(doc)
-    max_degree = search.get("max_splitting_degree", 24)
-    if not isinstance(max_degree, int) or isinstance(max_degree, bool) or max_degree < 1:
-        raise ProblemFileError(
-            "search.max_splitting_degree", f"expected a positive integer, got {max_degree!r}"
-        )
+    max_degree = _positive_int(
+        search.get("max_splitting_degree", 24), "search.max_splitting_degree"
+    )
     try:
         problem = NormFormProblem(
             field,
@@ -198,6 +206,12 @@ def _search_section(doc):
 def _nonnegative_int(value, path):
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ProblemFileError(path, f"expected a nonnegative integer, got {value!r}")
+    return value
+
+
+def _positive_int(value, path):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ProblemFileError(path, f"expected a positive integer, got {value!r}")
     return value
 
 

@@ -24,7 +24,6 @@ from math import gcd, lcm
 from . import linalg
 from .errors import InvariantViolated, NonIntegerBase, NonSimpleUnsupported
 from .multirec import (
-    MPoly,
     MultiProgression,
     MultiRecurrence,
     ShiftedSublattice,
@@ -92,14 +91,7 @@ def _coerce_recurrence(recurrence: MultiRecurrence, problem: NormFormProblem, sc
     else:
         raise ValueError("recurrence is not defined over the problem field")
 
-    terms = []
-    for coeff, base in recurrence.terms:
-        new_coeff = MPoly(
-            amb,
-            recurrence.vars,
-            {e: conv(c) for e, c in coeff.monomials.items()},
-        )
-        terms.append((new_coeff, tuple(conv(b) for b in base)))
+    terms = [(conv(c), tuple(conv(b) for b in base)) for c, base in recurrence.terms]
     return MultiRecurrence(amb, recurrence.vars, terms)
 
 
@@ -129,8 +121,6 @@ def find_coincidences(
     first h per value is kept. At each distinct (index, h) that G hits,
     H(h) is also evaluated in the ambient field and must equal G(k).
     """
-    if not recurrence.is_simple():
-        raise NonSimpleUnsupported("coincidence search requires a simple recurrence")
     if recurrence.vars >= 2:
         # integrality hypothesis on the bases; waived for s = 1
         for _, base in recurrence.terms:
@@ -370,17 +360,14 @@ def _element_doc(e):
 
 
 def recurrence_document(rec: MultiRecurrence):
-    terms = []
-    for coeff, base in rec.terms:
-        terms.append(
-            {
-                "coeff": [
-                    {"exps": list(exps), "value": _element_doc(c)}
-                    for exps, c in sorted(coeff.monomials.items())
-                ],
-                "base": [_element_doc(b) for b in base],
-            }
-        )
+    """Each constant is written as the single monomial of exponent 0."""
+    terms = [
+        {
+            "coeff": [{"exps": [0] * rec.vars, "value": _element_doc(c)}],
+            "base": [_element_doc(b) for b in base],
+        }
+        for c, base in rec.terms
+    ]
     return {
         "vars": rec.vars,
         "field": [_frac_str(Fraction(c)) for c in rec.field.min_poly],

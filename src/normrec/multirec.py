@@ -1,116 +1,18 @@
-"""Multi-recurrence algebra: polynomial-exponential functions on Z^s.
+"""Multi-recurrence algebra: simple exponential functions on Z^s.
 
-A recurrence is a merged sum of terms (coefficient polynomial, base vector)
-with all bases nonzero field elements. Restriction to shifted sublattices
-and progressions, proportional-term reduction, and the exact zero-on-
-progression decision for simple recurrences all live here.
+A recurrence is a merged sum of terms c * base_1^k_1 ... base_s^k_s with a
+constant c and nonzero bases, all field elements. Restriction to shifted
+sublattices and progressions, proportional-term reduction, and the exact
+zero-on-progression decision all live here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .errors import NonSimpleUnsupported, ShapeMismatch
+from .errors import ShapeMismatch
 from .numberfield import NumberField, NumberFieldElement, is_root_of_unity
-
-
-class MPoly:
-    """Multivariate polynomial over a number field: {exponent tuple: coeff}."""
-
-    def __init__(self, field: NumberField, nvars: int, monomials=None):
-        self.field = field
-        self.nvars = nvars
-        mono = {}
-        if monomials:
-            for exps, c in monomials.items():
-                if not c.is_zero():
-                    mono[tuple(int(e) for e in exps)] = c
-        self.monomials = mono
-
-    @classmethod
-    def constant(cls, field, nvars, c):
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    def is_constant(self):
-        return all(all(e == 0 for e in exps) for exps in self.monomials)
-
-    def constant_value(self):
-        return self.monomials.get((0,) * self.nvars, self.field.zero())
-
-    def is_zero(self):
-        return not self.monomials
-
-    def evaluate(self, k):
-        acc = self.field.zero()
-        for exps, c in self.monomials.items():
-            val = c
-            for e, ki in zip(exps, k):
-                if e:
-                    val = val * Fraction(ki) ** e
-            acc = acc + val
-        return acc
-
-    def __add__(self, other):
-        out = dict(self.monomials)
-        for exps, c in other.monomials.items():
-            out[exps] = out[exps] + c if exps in out else c
-        return MPoly(self.field, self.nvars, out)
-
-    def __neg__(self):
-        return MPoly(
-            self.field, self.nvars, {e: -c for e, c in self.monomials.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, NumberFieldElement):
-            return MPoly(
-                self.field,
-                self.nvars,
-                {e: c * other for e, c in self.monomials.items()},
-            )
-        out = {}
-        for e1, c1 in self.monomials.items():
-            for e2, c2 in other.monomials.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return MPoly(self.field, self.nvars, out)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MPoly)
-            and self.nvars == other.nvars
-            and self.monomials == other.monomials
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.monomials.items())))
-
-    def compose_affine(self, a_mat, b_vec, new_nvars):
-        """Substitute x_v = b[v] + sum_i y_i * A[i][v]; result in y vars."""
-        forms = []
-        for v in range(self.nvars):
-            mono = {}
-            if b_vec[v] != 0:
-                mono[(0,) * new_nvars] = self.field.from_rational(b_vec[v])
-            for i in range(new_nvars):
-                if a_mat[i][v] != 0:
-                    exps = tuple(1 if t == i else 0 for t in range(new_nvars))
-                    mono[exps] = self.field.from_rational(a_mat[i][v])
-            forms.append(MPoly(self.field, new_nvars, mono))
-        result = MPoly(self.field, new_nvars)
-        for exps, c in self.monomials.items():
-            term = MPoly.constant(self.field, new_nvars, c)
-            for v, e in enumerate(exps):
-                for _ in range(e):
-                    term = term * forms[v]
-            result = result + term
-        return result
-
-    def __repr__(self):
-        return f"MPoly({self.monomials})"
 
 
 @dataclass(frozen=True)
@@ -165,7 +67,9 @@ class MultiProgression:
 
 
 class MultiRecurrence:
-    """Finite sum of terms (P_j, base_j); merged and canonically ordered."""
+    """Finite sum of terms (c_j, base_j) with constant field elements c_j;
+    terms with equal bases are merged, zero terms dropped, and the rest
+    canonically ordered."""
 
     def __init__(self, field: NumberField, nvars: int, terms):
         self.field = field
@@ -178,8 +82,6 @@ class MultiRecurrence:
             for b in base:
                 if b.is_zero():
                     raise ValueError("base entries must be nonzero")
-            if isinstance(coeff, NumberFieldElement):
-                coeff = MPoly.constant(field, nvars, coeff)
             if base in merged:
                 merged[base] = merged[base] + coeff
             else:
@@ -206,9 +108,6 @@ class MultiRecurrence:
             conv.append((c, base))
         return cls(field, nvars, conv)
 
-    def is_simple(self):
-        return all(c.is_constant() for c, _ in self.terms)
-
     def is_zero(self):
         return not self.terms
 
@@ -216,8 +115,7 @@ class MultiRecurrence:
         if len(k) != self.vars:
             raise ShapeMismatch(f"expected {self.vars} coordinates, got {len(k)}")
         acc = self.field.zero()
-        for coeff, base in self.terms:
-            val = coeff.evaluate(k)
+        for val, base in self.terms:
             for b, ki in zip(base, k):
                 val = val * b ** int(ki)
             acc = acc + val
@@ -248,7 +146,8 @@ class MultiRecurrence:
         return f"MultiRecurrence(vars={self.vars}, q={len(self.terms)})"
 
     def restrict_sublattice(self, lattice: ShiftedSublattice) -> "MultiRecurrence":
-        """Symbolic substitution h = k*A + b; result has lattice.s variables."""
+        """Symbolic substitution h = k*A + b; result has lattice.s variables:
+        each base becomes (base^{A_i})_i and each constant gains base^b."""
         if lattice.r != self.vars:
             raise ShapeMismatch(
                 f"lattice has r={lattice.r} but recurrence has {self.vars} vars"
@@ -269,8 +168,7 @@ class MultiRecurrence:
                 e = lattice.b_vector[v]
                 if e:
                     mult = mult * base[v] ** e
-            new_coeff = coeff.compose_affine(lattice.a_matrix, lattice.b_vector, s)
-            new_terms.append((new_coeff * mult, tuple(new_base)))
+            new_terms.append((coeff * mult, tuple(new_base)))
         return MultiRecurrence(self.field, s, new_terms)
 
     def restrict_progression(self, prog: MultiProgression) -> "MultiRecurrence":
@@ -285,12 +183,9 @@ class MultiRecurrence:
 
 
 def is_zero_on_progression(recurrence: MultiRecurrence, prog: MultiProgression) -> bool:
-    """Complete decision of identical vanishing on the progression, for
-    simple recurrences."""
-    if not recurrence.is_simple():
-        raise NonSimpleUnsupported(
-            "zero decision requires constant coefficient polynomials"
-        )
+    """Complete decision of identical vanishing on the progression: the
+    restriction merges terms with equal bases, and a sum of constants times
+    distinct base powers is zero only when every constant is."""
     return recurrence.restrict_progression(prog).is_zero()
 
 
@@ -302,24 +197,21 @@ def mr_reduce(recurrence: MultiRecurrence, prog: MultiProgression) -> MultiRecur
     scaled by rho at the offsets. The result equals the input on the
     progression.
     """
-    if not recurrence.is_simple():
-        raise NonSimpleUnsupported("reduction requires a simple recurrence")
     if prog.s != recurrence.vars:
         raise ShapeMismatch("progression dimension mismatch")
     one = recurrence.field.one()
     reps = []  # (base, accumulated coeff)
     for coeff, base in recurrence.terms:
-        c_val = coeff.constant_value()
         for idx, (rep_base, rep_c) in enumerate(reps):
             ratio = [bj / bi for bj, bi in zip(base, rep_base)]
             if all(rho**d == one for rho, d in zip(ratio, prog.steps)):
                 at_offset = one
                 for rho, c in zip(ratio, prog.offsets):
                     at_offset = at_offset * rho**c
-                reps[idx] = (rep_base, rep_c + c_val * at_offset)
+                reps[idx] = (rep_base, rep_c + coeff * at_offset)
                 break
         else:
-            reps.append((base, c_val))
+            reps.append((base, coeff))
     return MultiRecurrence(recurrence.field, recurrence.vars, [(c, b) for b, c in reps])
 
 
@@ -333,16 +225,14 @@ class ZeroStructure:
 def sml_zero_structure(
     recurrence: MultiRecurrence, search_bound: int, period_cap: int = 360
 ):
-    """Desk-scale zero structure for s = 1 simple recurrences.
+    """Desk-scale zero structure for s = 1 recurrences.
 
     Certified progressions are proven symbolically; sporadic zeros are
     complete only within [0, search_bound].
     """
     if recurrence.vars != 1:
         raise ShapeMismatch("zero structure analysis requires s = 1")
-    if not recurrence.is_simple():
-        raise NonSimpleUnsupported("zero structure requires a simple recurrence")
-    consts = [c.constant_value() for c, _ in recurrence.terms]
+    consts = [c for c, _ in recurrence.terms]
     bases = [b[0] for _, b in recurrence.terms]
     zeros = []
     powers = [recurrence.field.one() for _ in bases]

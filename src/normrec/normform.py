@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from . import linalg, qpoly
 from .errors import DegreeCapExceeded, InvariantViolated, NoNonsingularSelection
-from .multirec import MPoly, MultiRecurrence
+from .multirec import MultiRecurrence
 from .numberfield import (
-    NumberField,
     NumberFieldElement,
     SplittingContainer,
     extend_by_irreducible,
@@ -25,7 +25,6 @@ from .numberfield import (
     norm,
     splitting_container,
 )
-from .units import UnitSystem
 
 
 class NormFormProblem:
@@ -62,36 +61,45 @@ class NormFormProblem:
         return self._sc
 
     def norm_polynomial(self):
-        """The norm form as {exponent tuple: int coefficient} in n variables."""
+        """The norm form as {exponent tuple: int coefficient} in n variables.
+
+        N(x . alpha) is an integer form of degree d = [K:Q] in x. Its values
+        at the C(n+d-1, d) points x >= 0 with x_1 + ... + x_n = d, which are
+        unisolvent for such forms, fix it: one exact integer solve of the
+        monomial matrix at those points against the norms there. x^e = 0
+        unless supp(e) lies in supp(x), so the matrix is block triangular by
+        support; the solve runs block by block, smallest supports first, on
+        the norms less the part of the form already known.
+        """
         if self._norm_poly is None:
-            sc = self.splitting()
-            amb = sc.ambient
-            n = self.n
-            prod_poly = MPoly.constant(amb, n, amb.one())
-            for i in range(self.field.degree):
-                mono = {}
-                for j, a in enumerate(self.alphas):
-                    exps = tuple(1 if t == j else 0 for t in range(n))
-                    mono[exps] = sc.embed(a, i)
-                prod_poly = prod_poly * MPoly(amb, n, mono)
-            out = {}
-            for exps, c in prod_poly.monomials.items():
-                q = c.as_rational()
-                if q.denominator != 1:
+            blocks = {}
+            for e in _exponents(self.field.degree, self.n):
+                blocks.setdefault(tuple(x > 0 for x in e), []).append(e)
+            form = {}
+            for _, block in sorted(blocks.items(), key=lambda sb: sum(sb[0])):
+                rhs = []
+                for point in block:
+                    v = norm(sum((a * x for a, x in zip(self.alphas, point)), self.field.zero()))
+                    if v.denominator != 1:
+                        raise InvariantViolated("norm of an integral element not integral")
+                    rhs.append(v.numerator - _evaluate(form.items(), point))
+                mat = [[prod(x**k for x, k in zip(point, e)) for e in block] for point in block]
+                det, y = linalg.bareiss_solve(mat, rhs)
+                if any(c % det for c in y):
                     raise InvariantViolated("norm form coefficient not integral")
-                out[exps] = int(q)
-            self._norm_poly = out
+                form.update((e, c // det) for e, c in zip(block, y) if c)
+            self._norm_poly = form
         return self._norm_poly
 
     def norm_of_vector(self, x):
-        acc = 0
-        for exps, c in self.norm_polynomial().items():
-            val = c
-            for e, xi in zip(exps, x):
-                if e:
-                    val *= xi**e
-            acc += val
-        return acc
+        return _evaluate(self.norm_polynomial().items(), x)
+
+
+def _exponents(d, n):
+    """The exponent tuples of the degree-d monomials in n variables."""
+    if n == 1:
+        return [(d,)]
+    return [(e,) + rest for e in range(d + 1) for rest in _exponents(d - e, n - 1)]
 
 
 def solve_bruteforce(problem: NormFormProblem, box: int):

@@ -28,11 +28,21 @@ PELL_FILE = {
 MALFORMED_TERMS = [
     ("monomial-without-exps", {"coeff": {"monomials": [{"value": 1}]}, "base": [2]},
      "recurrence.terms[0].coeff.monomials[0]"),
+    ("repeated-exps",
+     {"coeff": {"monomials": [{"exps": [0], "value": 2}, {"exps": [0], "value": -1}]},
+      "base": [-1]},
+     "recurrence.terms[0].coeff.monomials[1].exps"),
     ("exps-not-integers", {"coeff": {"monomials": [{"exps": ["x"], "value": 1}]}, "base": [2]},
      "recurrence.terms[0].coeff.monomials[0].exps[0]"),
     ("monomials-not-a-list", {"coeff": {"monomials": 5}, "base": [2]},
      "recurrence.terms[0].coeff.monomials"),
     ("base-not-a-list", {"coeff": 1, "base": 5}, "recurrence.terms[0].base"),
+]
+
+# (id, a recurrence.vars that is not a positive integer)
+BAD_VARS = [
+    ("vars-negative", -1), ("vars-zero", 0), ("vars-float", 1.5),
+    ("vars-string", "1"), ("vars-bool", True),
 ]
 
 DATA = Path(__file__).parent / "data"
@@ -202,6 +212,23 @@ def test_smlzeros_nonsimple_exit3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_intersect_nonsimple_exit3(tmp_path, capsys):
+    """A polynomial coefficient, here k + 1, is a capability error; a
+    zero-valued monomial of positive degree is dropped instead."""
+    coeff = {"monomials": [{"exps": [0], "value": 1}, {"exps": [1], "value": 1}]}
+    doc = dict(PELL_FILE, recurrence={"vars": 1, "terms": [{"coeff": coeff, "base": [2]}]})
+    p = tmp_path / "nonsimple.json"
+    p.write_text(json.dumps(doc))
+    assert main(["intersect", str(p)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "capability error: recurrence.terms[0].coeff.monomials[1]: "
+    )
+    coeff["monomials"][1]["value"] = 0
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, ["intersect", str(p)])
+    assert code == 0 and out["hits"] == [{"x": "1", "k": [0], "h": [0]}]
+
+
 @pytest.mark.parametrize(
     "recurrence, extra, path",
     [({"vars": 1, "terms": [term]}, [], path) for _, term, path in MALFORMED_TERMS]
@@ -294,11 +321,26 @@ def test_top_level_not_an_object_exit_2(tmp_path, capsys, command, top):
     assert captured.err == f"input error: {p}: expected a JSON object\n"
 
 
-@pytest.mark.parametrize("name", ["readme_pell", "pell_pow2", "planted_s2"])
-def test_intersect_golden_documents(capsys, name):
-    """reduced-exception, finite-within-box with a hit, and an s = 2
-    exception: the whole output document, byte for byte."""
-    assert main(["intersect", str(DATA / f"{name}.json")]) == 0
+# (expected document, command line after the input file, input file)
+GOLDEN = [
+    ("readme_pell", ["intersect"], "readme_pell"),
+    ("pell_pow2", ["intersect"], "pell_pow2"),
+    ("planted_s2", ["intersect"], "planted_s2"),
+    ("cbrt2_power.solve", ["solve", "--box", "24"], "cbrt2_power"),
+    ("readme_pell.recurrences", ["recurrences"], "readme_pell"),
+    ("qrt2_power.recurrences", ["recurrences"], "qrt2_power"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, argv, source", GOLDEN, ids=[name for name, _, _ in GOLDEN]
+)
+def test_intersect_golden_documents(capsys, name, argv, source):
+    """reduced-exception, finite-within-box with a hit, an s = 2 exception,
+    the cubic brute force and the component recurrences over Q(sqrt 2) and
+    Q(2^(1/4)): the whole output document, byte for byte."""
+    command, *options = argv
+    assert main([command, str(DATA / f"{source}.json"), *options]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.expected.json").read_text()
 
 
@@ -311,26 +353,29 @@ def test_output_deterministic(pell_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "change",
+    "change, path",
     [
-        {"component": 5},
-        {"component": "1"},
-        {"recurrence": {"vars": 1, "terms": [5]}},
-        {"search": {"k_box": -1, "h_box": 30}},
-        {"search": {"k_box": 10, "h_box": -1}},
-        {"search": 5},
+        ({"component": 5}, "component"),
+        ({"component": "1"}, "component"),
+        ({"recurrence": {"vars": 1, "terms": [5]}}, "recurrence.terms[0]"),
+        ({"search": {"k_box": -1, "h_box": 30}}, "search.k_box"),
+        ({"search": {"k_box": 10, "h_box": -1}}, "search.h_box"),
+        ({"search": 5}, "search"),
     ]
-    + [{"recurrence": {"vars": 1, "terms": [term]}} for _, term, _ in MALFORMED_TERMS],
+    + [({"recurrence": {"vars": 1, "terms": [term]}}, path) for _, term, path in MALFORMED_TERMS]
+    + [({"recurrence": {"vars": v, "terms": []}}, "recurrence.vars") for _, v in BAD_VARS],
     ids=["component-out-of-range", "component-string", "term-not-object",
          "negative-k-box", "negative-h-box", "search-not-object"]
-    + [name for name, _, _ in MALFORMED_TERMS],
+    + [name for name, _, _ in MALFORMED_TERMS]
+    + [name for name, _ in BAD_VARS],
 )
-def test_intersect_input_errors_exit_2(tmp_path, capsys, change):
+def test_intersect_input_errors_exit_2(tmp_path, capsys, change, path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(dict(PELL_FILE, **change)))
     assert main(["intersect", str(p)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}: ")
 
 
 @pytest.mark.parametrize(
@@ -342,9 +387,10 @@ def test_intersect_input_errors_exit_2(tmp_path, capsys, change):
         ({"search": {"max_splitting_degree": "x"}}, "search.max_splitting_degree"),
         ({"search": {"max_splitting_degree": 0}}, "search.max_splitting_degree"),
         ({"search": {"max_splitting_degree": 2.5}}, "search.max_splitting_degree"),
+        ({"m": 0}, "m"),
     ],
     ids=["units-not-a-list", "not-a-unit", "second-not-a-unit", "max-degree-string", "max-degree-zero",
-         "max-degree-float"],
+         "max-degree-float", "m-zero"],
 )
 def test_problem_input_errors_name_their_path(tmp_path, capsys, change, path):
     p = tmp_path / "bad.json"

@@ -22,7 +22,7 @@ from normrec.intersect import (
     result_document,
     sample_verify,
 )
-from normrec.multirec import MPoly, MultiProgression, MultiRecurrence, ShiftedSublattice
+from normrec.multirec import MultiProgression, MultiRecurrence, ShiftedSublattice
 from normrec.normform import NormFormProblem, build_component_recurrences
 from normrec.numberfield import field_create, norm
 from normrec.units import UnitSystem, auto_unit_system
@@ -81,13 +81,6 @@ def test_find_coincidences_constructed(pell_eps0, K2):
 def test_find_coincidences_none(pell, K2):
     g = MultiRecurrence.simple(K2, 1, [(5, (7,))])
     assert find_coincidences(pell, 1, g, 20, 12) == []
-
-
-def test_find_coincidences_rejects_nonsimple(pell, K2):
-    coeff = MPoly(K2, 1, {(1,): K2.one()})
-    g = MultiRecurrence(K2, 1, [(coeff, (K2.from_rational(2),))])
-    with pytest.raises(NonSimpleUnsupported):
-        find_coincidences(pell, 1, g, 10, 10)
 
 
 def test_find_coincidences_integer_base_hypothesis(pell, K2):

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from normrec.errors import NonSimpleUnsupported, ShapeMismatch
+from normrec.errors import ShapeMismatch
 from normrec.multirec import (
-    MPoly,
     MultiProgression,
     MultiRecurrence,
     ShiftedSublattice,
@@ -56,14 +55,6 @@ def test_zero_terms_dropped(Q):
 def test_zero_base_rejected(Q):
     with pytest.raises(ValueError):
         simple(Q, 1, [(1, (0,))])
-
-
-def test_polynomial_coefficients(Q):
-    # k * 2^k is not simple
-    coeff = MPoly(Q, 1, {(1,): Q.one()})
-    g = MultiRecurrence(Q, 1, [(coeff, (Q.from_rational(2),))])
-    assert not g.is_simple()
-    assert g.evaluate((3,)).as_rational() == 24
 
 
 def test_restrict_sublattice(Q):
@@ -117,13 +108,6 @@ def test_is_zero_on_progression(Q):
     g = simple(Q, 1, [(1, (-1,)), (-1, (1,))])
     assert is_zero_on_progression(g, MultiProgression((0,), (2,))) is True
     assert is_zero_on_progression(g, MultiProgression((0,), (1,))) is False
-
-
-def test_is_zero_on_progression_rejects_nonsimple(Q):
-    coeff = MPoly(Q, 1, {(1,): Q.one()})
-    g = MultiRecurrence(Q, 1, [(coeff, (Q.from_rational(2),))])
-    with pytest.raises(NonSimpleUnsupported):
-        is_zero_on_progression(g, MultiProgression((0,), (1,)))
 
 
 def test_mr_reduce_folds_proportional_terms(Q):

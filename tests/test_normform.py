@@ -3,11 +3,13 @@ embeddings, lifts."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from normrec import linalg
-from normrec.errors import DegreeCapExceeded
+from normrec.errors import DegreeCapExceeded, NormrecError
 from normrec.normform import (
     NormFormProblem,
     build_component_recurrences,
@@ -34,6 +36,57 @@ def pell(K2):
 
 def test_norm_polynomial_pell(pell):
     assert pell.norm_polynomial() == {(2, 0): 1, (0, 2): -2}
+
+
+def test_norm_polynomial_cube_root_of_two():
+    # N(x + y t + z t^2) for t^3 = 2
+    K = field_create([-2, 0, 0, 1])
+    t = K.gen()
+    problem = NormFormProblem(K, [K.one(), t, t * t], 1)
+    assert problem.norm_polynomial() == {
+        (3, 0, 0): 1, (0, 3, 0): 2, (0, 0, 3): 4, (1, 1, 1): -6,
+    }
+
+
+@st.composite
+def integral_modules(draw):
+    """A field of degree 1 to 4 with n <= d random integral generators."""
+    d = draw(st.integers(1, 4))
+    coeffs = [draw(st.integers(-6, 6)) for _ in range(d)] + [1]
+    try:
+        K = field_create(coeffs)
+    except NormrecError:  # reducible or not squarefree
+        assume(False)
+    powers = [K.one()]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * K.gen())
+    n = draw(st.integers(1, d))
+    alphas = []
+    for _ in range(n):
+        alpha = K.zero()
+        for p in powers:
+            alpha = alpha + p * draw(st.integers(-3, 3))
+        alphas.append(alpha)
+    assume(linalg.rank([list(a.coeffs) for a in alphas], Fraction(0)) == n)
+    points = draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=6
+    ))
+    return NormFormProblem(K, alphas, 1), points
+
+
+@settings(max_examples=60, deadline=None)
+@given(integral_modules())
+def test_norm_polynomial_matches_norm(case):
+    """The norm form at integer points of both signs is N(sum x_j alpha_j)."""
+    problem, points = case
+    form = problem.norm_polynomial()
+    assert all(sum(e) == problem.field.degree for e in form)
+    for x in points:
+        value = sum(c * prod(xj**e for xj, e in zip(x, exps)) for exps, c in form.items())
+        element = problem.field.zero()
+        for a, xj in zip(problem.alphas, x):
+            element = element + a * xj
+        assert value == norm(element)
 
 
 def test_norm_of_vector(pell):
