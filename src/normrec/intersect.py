@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
+from itertools import count, islice, product
 from math import gcd, lcm
 
 from . import linalg
-from .errors import InvariantViolated, NonIntegerBase, NonSimpleUnsupported
+from .errors import InvariantViolated, NonIntegerBase, ShapeMismatch
 from .multirec import (
     MultiProgression,
     MultiRecurrence,
@@ -30,7 +30,7 @@ from .multirec import (
     is_zero_on_progression,
     mr_reduce,
 )
-from .normform import ComponentRecurrence, NormFormProblem, build_component_recurrences
+from .normform import ComponentRecurrence, NormFormProblem, _exponents, build_component_recurrences
 from .numberfield import is_algebraic_integer, is_root_of_unity, norm
 
 
@@ -76,8 +76,9 @@ class ExceptionCertificate:
         return "reduced-exception" if self.reduced else "exception"
 
 
-def _coerce_recurrence(recurrence: MultiRecurrence, problem: NormFormProblem, sc):
+def _coerce_recurrence(recurrence: MultiRecurrence, problem: NormFormProblem):
     """Re-express a recurrence over the splitting ambient field."""
+    sc = problem.splitting()
     amb = sc.ambient
     if recurrence.field == amb:
         return recurrence
@@ -112,7 +113,6 @@ def find_coincidences(
     k_box: int,
     h_box: int,
     component_recurrences=None,
-    rep_coeff_bound: int = 5,
 ):
     """Exhaustive tabulation join of H(h) and G(k) over the given boxes.
 
@@ -120,6 +120,8 @@ def find_coincidences(
     coordinates is keyed on its component coordinate, which is H(h); the
     first h per value is kept. At each distinct (index, h) that G hits,
     H(h) is also evaluated in the ambient field and must equal G(k).
+    Without component_recurrences, H comes from build_component_recurrences
+    at its default representative bound.
     """
     if recurrence.vars >= 2:
         # integrality hypothesis on the bases; waived for s = 1
@@ -127,12 +129,9 @@ def find_coincidences(
             for b in base:
                 if not is_algebraic_integer(b):
                     raise NonIntegerBase(f"base entry {b} is not an algebraic integer")
-    sc = problem.splitting()
-    g_amb = _coerce_recurrence(recurrence, problem, sc)
+    g_amb = _coerce_recurrence(recurrence, problem)
     if component_recurrences is None:
-        component_recurrences = build_component_recurrences(
-            problem, component, sc, coeff_bound=rep_coeff_bound
-        )
+        component_recurrences = build_component_recurrences(problem, component)
     # value -> (h, recurrence index, solution vector)
     value_table = {}
     for idx, cr in enumerate(component_recurrences):
@@ -246,9 +245,8 @@ def detect_exception(
 ):
     """Full structural detection: exception certificate or finiteness report."""
     config = config or IntersectConfig()
-    sc = problem.splitting()
     component_recurrences = build_component_recurrences(
-        problem, component, sc, coeff_bound=config.rep_coeff_bound
+        problem, component, coeff_bound=config.rep_coeff_bound
     )
     try:
         hits = find_coincidences(
@@ -288,7 +286,7 @@ def detect_exception(
     sublattice = fit_affine_lattice(witnesses)
     if sublattice is None:
         return demote("lattice-fit", "the witnesses fix no unique integer lattice")
-    g_amb = _coerce_recurrence(recurrence, problem, sc)
+    g_amb = _coerce_recurrence(recurrence, problem)
     prog = _witness_progression([w.k for w in witnesses])
     h_red = mr_reduce(cr.recurrence, _witness_progression([w.h for w in witnesses]))
     k0 = witnesses[0].k
@@ -341,7 +339,7 @@ def detect_reduced_exception(
     its certificate with G0 = 0 is the reduced one: same lattice,
     progression and witnesses, nothing decided or sampled again."""
     if recurrence.vars != 1:
-        raise NonSimpleUnsupported("reduced detection requires s = 1")
+        raise ShapeMismatch("reduced detection requires s = 1")
     cert = detect_exception(problem, component, recurrence, config)
     if isinstance(cert, FinitenessReport):
         return cert
@@ -423,14 +421,14 @@ def result_document(problem, recurrence, result):
 
 
 def sample_verify(problem, recurrence, cert: ExceptionCertificate, points: int = 50):
-    """Exact pointwise check of G(k) = H(kA+b) and G0(k) = 0 along the
-    progression."""
-    sc = problem.splitting()
-    g_amb = _coerce_recurrence(recurrence, problem, sc)
+    """Exact pointwise check of G(k) = H(kA+b) and G0(k) = 0 at the first
+    points points of the progression, taken in graded order: by the sum of
+    the progression coordinates, then lex. For s = 1 they are 0..points-1."""
+    g_amb = _coerce_recurrence(recurrence, problem)
     h_rec = cert.component_recurrence.recurrence
-    s = g_amb.vars
-    for t in range(points):
-        k = cert.progression.point((t,) * s)
+    graded = (t for total in count() for t in _exponents(total, g_amb.vars))
+    for t in islice(graded, points):
+        k = cert.progression.point(t)
         h = cert.lattice.apply(k)
         if g_amb.evaluate(k) != h_rec.evaluate(h) or not cert.g0.evaluate(k).is_zero():
             return False, f"mismatch at k={k}"

@@ -24,6 +24,7 @@ from .numberfield import (
     is_algebraic_integer,
     norm,
     splitting_container,
+    torsion_units,
 )
 
 
@@ -185,40 +186,32 @@ class RepresentativeSet:
     coeff_bound: int
 
 
-def _is_associate(a: NumberFieldElement, b: NumberFieldElement) -> bool:
-    q1 = a / b
-    q2 = b / a
-    return is_algebraic_integer(q1) and is_algebraic_integer(q2)
-
-
 def norm_representatives(problem: NormFormProblem, coeff_bound: int):
     """Pairwise non-associate elements of norm m with integral-basis
-    coordinates bounded by coeff_bound; complete within the box only."""
-    basis = problem.field.integral_basis()
-    found = []
-    for coeffs in product(
-        range(-coeff_bound, coeff_bound + 1), repeat=len(basis)
-    ):
-        if all(c == 0 for c in coeffs):
-            continue
-        mu = problem.field.zero()
-        for c, w in zip(coeffs, basis):
-            if c:
-                mu = mu + w * Fraction(c)
-        if norm(mu) == problem.m:
-            found.append((coeffs, mu))
+    coordinates bounded by coeff_bound; complete within the box only.
+
+    The candidates are the solutions of the norm form equation on the
+    integral basis, from ``solve_bruteforce``. Every candidate has norm
+    exactly m, so the quotient of two of them has norm 1 and is a unit
+    exactly when it is an algebraic integer.
+    """
+    field = problem.field
+    basis = field.integral_basis()
+    candidates = solve_bruteforce(NormFormProblem(field, basis, problem.m), coeff_bound)
     # canonical representative per associate class: smallest coefficients,
-    # positive signs preferred
-    found.sort(
-        key=lambda cm: (
-            sum(c * c for c in cm[0]),
-            tuple(abs(c) for c in cm[0]),
-            tuple(0 if c >= 0 else 1 for c in cm[0]),
+    # positive signs preferred; the sort is stable and the candidates are
+    # lex sorted, which breaks the remaining ties
+    candidates.sort(
+        key=lambda cs: (
+            sum(c * c for c in cs),
+            tuple(abs(c) for c in cs),
+            tuple(0 if c >= 0 else 1 for c in cs),
         )
     )
     reps = []
-    for _, mu in found:
-        if not any(_is_associate(mu, r) for r in reps):
+    for coeffs in candidates:
+        mu = sum((w * c for c, w in zip(coeffs, basis) if c), field.zero())
+        if not any(is_algebraic_integer(mu / r) for r in reps):
             reps.append(mu)
     return RepresentativeSet(reps, coeff_bound)
 
@@ -230,11 +223,10 @@ class EmbeddingMatrix:
     inverse: list
 
 
-def embedding_matrix(problem: NormFormProblem, sc=None) -> EmbeddingMatrix:
+def embedding_matrix(problem: NormFormProblem) -> EmbeddingMatrix:
     """Lexicographically first n-subset of embeddings whose matrix
     (sigma_i(alpha_j)) has nonzero determinant, with its exact inverse."""
-    if sc is None:
-        sc = problem.splitting()
+    sc = problem.splitting()
     amb = sc.ambient
     n, d = problem.n, problem.field.degree
     conj = [[sc.embed(a, i) for a in problem.alphas] for i in range(d)]
@@ -279,7 +271,7 @@ class ComponentRecurrence:
 
 
 def build_component_recurrences(
-    problem: NormFormProblem, component: int, sc=None, coeff_bound: int = 5
+    problem: NormFormProblem, component: int, coeff_bound: int = 5
 ):
     """The finite set of component recurrences H for x_component, one per
     (norm-m representative class, torsion class modulo signs)."""
@@ -287,17 +279,14 @@ def build_component_recurrences(
         raise ValueError(f"component must be in 1..{problem.n}")
     if problem.unit_system is None:
         raise ValueError("problem has no unit system")
-    if sc is None:
-        sc = problem.splitting()
+    sc = problem.splitting()
     amb = sc.ambient
-    emb = embedding_matrix(problem, sc)
+    emb = embedding_matrix(problem)
     sys = problem.unit_system
     r = sys.rank
     reps = norm_representatives(problem, coeff_bound)
     unit_norms = [norm(e) for e in sys.fundamental_units]
     parity_mask = tuple(1 if s == -1 else 0 for s in unit_norms)
-    from .numberfield import torsion_units
-
     t_order, t_elts = torsion_units(problem.field)
     # torsion classes modulo {+-1}: signs are absorbed into associate classes
     torsion_reps = list(range(t_order // 2)) if t_order % 2 == 0 else list(range(t_order))

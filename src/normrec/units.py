@@ -23,7 +23,6 @@ from .numberfield import (
     is_algebraic_integer,
     is_root_of_unity,
     norm,
-    torsion_units,
 )
 
 
@@ -31,7 +30,6 @@ from .numberfield import (
 class UnitSystem:
     field: NumberField
     fundamental_units: list
-    torsion_order: int = 2
 
     @property
     def rank(self):
@@ -232,5 +230,4 @@ def auto_unit_system(field: NumberField) -> UnitSystem:
             "automatic unit systems are only available for real quadratic fields"
         )
     eps = fundamental_unit_real_quadratic(-mp[0])
-    order, _ = torsion_units(field)
-    return UnitSystem(field, [field.element(eps.coeffs)], torsion_order=order)
+    return UnitSystem(field, [field.element(eps.coeffs)])

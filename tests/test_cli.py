@@ -329,6 +329,7 @@ GOLDEN = [
     ("cbrt2_power.solve", ["solve", "--box", "24"], "cbrt2_power"),
     ("readme_pell.recurrences", ["recurrences"], "readme_pell"),
     ("qrt2_power.recurrences", ["recurrences"], "qrt2_power"),
+    ("sqrt5_m11.recurrences", ["recurrences"], "sqrt5_m11"),
 ]
 
 
@@ -337,8 +338,9 @@ GOLDEN = [
 )
 def test_intersect_golden_documents(capsys, name, argv, source):
     """reduced-exception, finite-within-box with a hit, an s = 2 exception,
-    the cubic brute force and the component recurrences over Q(sqrt 2) and
-    Q(2^(1/4)): the whole output document, byte for byte."""
+    the cubic brute force and the component recurrences over Q(sqrt 2),
+    Q(2^(1/4)) and Q(sqrt 5) (two classes of norm 11 with half-integral
+    representatives): the whole output document, byte for byte."""
     command, *options = argv
     assert main([command, str(DATA / f"{source}.json"), *options]) == 0
     assert capsys.readouterr().out == (DATA / f"{name}.expected.json").read_text()

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from normrec import intersect
-from normrec.errors import InvariantViolated, NonSimpleUnsupported
+from normrec.errors import InvariantViolated, ShapeMismatch
 from normrec.intersect import (
     ExceptionCertificate,
     FinitenessReport,
@@ -377,6 +377,26 @@ def test_sample_verify_requires_g0_to_vanish(pell_eps0, K2):
     assert sample_verify(pell_eps0, g, even, 10) == (True, "")
 
 
+def test_sample_verify_leaves_the_diagonal(pell_eps0, K2):
+    """G = H|_sharp + G0 with A = ((1,), (1,)) and G0 = 2^k1 - 2^k2, which
+    vanishes on the diagonal k1 = k2 only, so sampling the diagonal alone
+    would accept it. In graded order the second point is k = (0, 1)."""
+    cr = build_component_recurrences(pell_eps0, 1)[0]
+    lattice = ShiftedSublattice(((1,), (1,)), (0,))
+    g0 = MultiRecurrence.simple(K2, 2, [(1, (2, 1)), (-1, (1, 2))])
+    assert all(g0.evaluate((t, t)).is_zero() for t in range(50))
+    cert = ExceptionCertificate(
+        component_recurrence=cr,
+        lattice=lattice,
+        progression=MultiProgression((0, 0), (1, 1)),
+        g0=g0,
+        reduced=False,
+        witnesses=[],
+    )
+    g = cr.recurrence.restrict_sublattice(lattice) + g0
+    assert sample_verify(pell_eps0, g, cert, 50) == (False, "mismatch at k=(0, 1)")
+
+
 def test_detect_reduced_exception_constant(pell, K2):
     g = MultiRecurrence.simple(K2, 1, [(4, (1,))])
     res = detect_reduced_exception(pell, 1, g, IntersectConfig(k_box=30, h_box=12))
@@ -386,7 +406,7 @@ def test_detect_reduced_exception_constant(pell, K2):
 
 def test_detect_reduced_requires_s1(pell, K2):
     g = MultiRecurrence.simple(K2, 2, [(1, (2, 3))])
-    with pytest.raises(NonSimpleUnsupported):
+    with pytest.raises(ShapeMismatch):
         detect_reduced_exception(pell, 1, g, IntersectConfig())
 
 

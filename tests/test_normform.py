@@ -2,7 +2,7 @@
 embeddings, lifts."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
@@ -150,6 +150,63 @@ def test_representatives_negative_m(K2):
     reps = norm_representatives(p, 5)
     assert len(reps.representatives) == 1
     assert reps.representatives[0] == K2.element([Fraction(1), Fraction(1)])
+
+
+def reference_representatives(problem, coeff_bound):
+    """The former enumeration: a field element and its norm for every
+    nonzero integral-basis vector of the box, in product order, then the
+    canonical key sort and an associate test by both quotients."""
+    basis = problem.field.integral_basis()
+    found = []
+    for coeffs in product(range(-coeff_bound, coeff_bound + 1), repeat=len(basis)):
+        if all(c == 0 for c in coeffs):
+            continue
+        mu = problem.field.zero()
+        for c, w in zip(coeffs, basis):
+            if c:
+                mu = mu + w * Fraction(c)
+        if norm(mu) == problem.m:
+            found.append((coeffs, mu))
+    found.sort(
+        key=lambda cm: (
+            sum(c * c for c in cm[0]),
+            tuple(abs(c) for c in cm[0]),
+            tuple(0 if c >= 0 else 1 for c in cm[0]),
+        )
+    )
+    reps = []
+    for _, mu in found:
+        if not any(
+            is_algebraic_integer(mu / r) and is_algebraic_integer(r / mu) for r in reps
+        ):
+            reps.append(mu)
+    return reps
+
+
+REPRESENTATIVE_PROBES = [
+    ([-d, 0, 1], [s * k for k in range(1, 13) for s in (1, -1)], [5])
+    for d in (2, 3, 5, 6, 7, 10, 11, 13, 17, 19, 21, 43)
+] + [
+    (poly, [1, -1, 2, -2, 3, 5, 7], [1, 2, 3])
+    for poly in ([-2, 0, 0, 1], [-3, 0, 0, 1], [1, 1, 0, 1], [-1, -1, 0, 1], [-2, 0, 0, 0, 1])
+]
+
+
+@pytest.mark.parametrize(
+    "min_poly, targets, bounds",
+    REPRESENTATIVE_PROBES,
+    ids=[str(poly) for poly, _, _ in REPRESENTATIVE_PROBES],
+)
+def test_representatives_match_reference(min_poly, targets, bounds):
+    """The same elements in the same order as the former enumeration, over
+    real quadratic fields (half-integral bases for d = 5, 13, 17, 21),
+    cubic fields of unit rank 1 and the quartic Q(2^(1/4)) of unit rank 2."""
+    K = field_create(min_poly)
+    for m in targets:
+        problem = NormFormProblem(K, [K.one()], m)
+        for bound in bounds:
+            found = norm_representatives(problem, bound).representatives
+            assert found == reference_representatives(problem, bound), (m, bound)
 
 
 def test_embedding_matrix_pell(pell):

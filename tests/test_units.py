@@ -113,9 +113,3 @@ def test_verify_unit_system_rejects_nonunit():
     assert not report.valid
     assert report.failures and report.failures[0][0] == "NotAUnit"
 
-
-def test_auto_unit_system_torsion_order():
-    K = field_create([-2, 0, 1])
-    sys = auto_unit_system(K)
-    assert sys.rank == 1
-    assert sys.torsion_order == 2
